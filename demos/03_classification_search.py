@@ -1,8 +1,10 @@
 """Exhaustively enumerating perfect codes, and sweeping the classification.
 
 Perfectness is an exact-cover condition, so the searcher enumerates
-selections of pairwise-disjoint balls covering the space, branching on the
-most constrained point first. The sweep runs a grid of (n, ell, e) cells
+selections of pairwise-disjoint balls covering the space, always covering
+the first uncovered point in enumeration order next; that walk starts at
+the (ell, 0, ..., 0) corner, where clipped balls leave the fewest choices.
+The sweep runs a grid of (n, ell, e) cells
 and checks each against the closed-form counts: min(r+1, 2e+1-r) codes on
 two symbols, two codes exactly when ell = 3e+1 on three symbols, none on
 four or more.

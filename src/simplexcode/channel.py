@@ -11,12 +11,11 @@ simplex.
 
 Randomness comes from the Philox4x64 counter-based generator keyed by
 (seed, trial index), so every trial is an independent, reproducible
-substream and trials can run in any order or in parallel.
+substream and the outcome of a trial does not depend on the others.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,10 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("substitutions", "insertions", "deletions", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for name in ("substitutions", "insertions", "deletions"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -216,13 +219,12 @@ def run_experiment(
     codeword_selection: str = "uniform",
     *,
     exhaustive: bool = False,
-    workers: int = 1,
 ) -> ExperimentStats:
     """Drive encode -> channel -> receive -> decode and tally the outcomes.
 
     Sampling mode runs `trials` independent trials; trial t draws its
     codeword (uniform or round-robin) and its noise from the (seed, t)
-    substream, so results do not depend on worker count or ordering.
+    substream, so results do not depend on the order trials run in.
 
     Exhaustive mode ignores `trials` and instead enumerates every noise
     pattern of the configured weights for every codeword. Patterns are
@@ -250,12 +252,7 @@ def run_experiment(
         noisy = _apply_noise(encode(sent), cfg, n, rng)
         return _decode_outcome(code, sent, receive(noisy, n))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-    else:
-        outcomes = [one_trial(t) for t in range(trials)]
-    return _tally(outcomes, exhaustive=False)
+    return _tally([one_trial(t) for t in range(trials)], exhaustive=False)
 
 
 def _tally(outcomes, *, exhaustive: bool) -> ExperimentStats:

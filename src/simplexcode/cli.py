@@ -33,6 +33,8 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+THREADS_HELP = "accepted for compatibility and ignored: every command runs single-threaded"
+
 
 def _cmd_construct(args) -> int:
     if args.alphabet == 2:
@@ -69,7 +71,7 @@ def _cmd_search(args) -> int:
         symmetry_reduction=args.orbits,
         point_budget=args.point_budget,
     )
-    report = enumerate_perfect_codes(problem, workers=args.threads)
+    report = enumerate_perfect_codes(problem)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -93,7 +95,6 @@ def _cmd_sweep(args) -> int:
         args.ell_max,
         args.e_max,
         point_budget=args.point_budget,
-        workers=args.threads,
     )
     if args.format == "tsv":
         sys.stdout.write(report.to_tsv())
@@ -144,12 +145,15 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
     if "code_file" not in obj:
         raise ValueError("config is missing code_file")
+    if not isinstance(obj["code_file"], str):
+        raise ValueError("code_file must be a string")
     exhaustive = obj.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
         raise ValueError("exhaustive must be a boolean")
-    for name in ("substitutions", "insertions", "deletions"):
-        if not isinstance(obj.get(name, 0), int) or isinstance(obj.get(name, 0), bool):
-            raise ValueError(f"{name} must be an integer")
+    for name in ("substitutions", "insertions", "deletions", "trials", "seed"):
+        value = obj.get(name, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not exhaustive:
         # Randomized runs demand an explicit seed; there is no wall-clock default.
         if "seed" not in obj:
@@ -174,7 +178,6 @@ def _cmd_simulate(args) -> int:
         trials=obj.get("trials", 1),
         codeword_selection=obj.get("codeword_selection", "uniform"),
         exhaustive=exhaustive,
-        workers=args.threads,
     )
     sys.stdout.write(json.dumps(stats.to_dict(), indent=2) + "\n")
     return EXIT_OK
@@ -209,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-solutions", type=int, default=0, help="0 = unbounded")
     p.add_argument("--orbits", action="store_true", help="also count permutation orbits")
     p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 
@@ -218,13 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell-max", type=int, required=True)
     p.add_argument("--e-max", type=int, required=True)
     p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="run a channel experiment from a JSON config")
     p.add_argument("--config", required=True, help="experiment config file path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

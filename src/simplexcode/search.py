@@ -6,11 +6,11 @@ therefore an exact-cover problem: the universe is the point set, the
 candidate sets are the balls B(x, e) for every center x, and a perfect code
 is a selection of pairwise-disjoint balls whose union is the whole space.
 
-The solver is Algorithm X over that incidence structure. It always branches
-on the point with the fewest remaining candidate balls; near the simplex
-corners balls are clipped small, so the corners are the most constrained
-and get decided first. Solutions are reported in the canonical order
-induced by the point enumeration, independent of worker count.
+The solver is a depth-first exact-cover search over bitmasks of point ids.
+It always branches on the first uncovered point in enumeration order, which
+starts at the (ell, 0, ..., 0) corner where clipped balls leave the fewest
+choices, and tries the balls covering it in center order. Solutions are
+reported in the canonical order induced by the point enumeration.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -36,10 +35,10 @@ DEFAULT_POINT_BUDGET = 50_000
 class SearchProblem:
     """One exhaustive-search instance: a space, a radius, and options.
 
-    max_solutions = 0 means unbounded. point_budget bounds the space size;
-    node_budget (0 = unbounded) bounds search-tree nodes. Runs with
-    max_solutions or node_budget set are executed single-threaded so that
-    node counts and truncation points cannot depend on scheduling.
+    max_solutions = 0 means unbounded; otherwise the search stops after the
+    first max_solutions codes it meets in depth-first order. point_budget
+    bounds the space size; node_budget (0 = unbounded) bounds search-tree
+    nodes.
     """
 
     space: SimplexSpace
@@ -98,61 +97,6 @@ class SearchReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-class _ExactCover:
-    """Algorithm X over ball placements, dict-of-sets flavor.
-
-    X maps each point id to the set of live candidate centers whose ball
-    covers it; Y maps each candidate center to its (fixed) ball. Branching
-    always picks the point with the fewest live candidates, ties broken by
-    point id, so the exploration order is fully deterministic.
-    """
-
-    def __init__(self, balls: list[tuple[int, ...]], node_budget: int = 0):
-        self.Y = balls
-        self.X: dict[int, set[int]] = {}
-        for c, pts in enumerate(balls):
-            for j in pts:
-                self.X.setdefault(j, set()).add(c)
-        self.nodes = 0
-        self.node_budget = node_budget
-
-    def search(self, partial: list[int]):
-        self.nodes += 1
-        if self.node_budget and self.nodes > self.node_budget:
-            raise BudgetExceededError(f"search exceeded node budget of {self.node_budget}")
-        X = self.X
-        if not X:
-            yield tuple(partial)
-            return
-        col = min(X, key=lambda j: (len(X[j]), j))
-        for c in sorted(X[col]):
-            partial.append(c)
-            removed = self.select(c)
-            yield from self.search(partial)
-            self.restore(c, removed)
-            partial.pop()
-
-    def select(self, c: int) -> list[set[int]]:
-        X, Y = self.X, self.Y
-        cols = []
-        for j in Y[c]:
-            for i in X[j]:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].remove(i)
-            cols.append(X.pop(j))
-        return cols
-
-    def restore(self, c: int, cols: list[set[int]]) -> None:
-        X, Y = self.X, self.Y
-        for j in reversed(Y[c]):
-            X[j] = cols.pop()
-            for i in X[j]:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].add(i)
-
-
 def _cover_matrix(space: SimplexSpace, e: int) -> tuple[list[Point], list[tuple[int, ...]]]:
     points = list(enumerate_space(space))
     index = {p: i for i, p in enumerate(points)}
@@ -160,39 +104,55 @@ def _cover_matrix(space: SimplexSpace, e: int) -> tuple[list[Point], list[tuple[
     return points, balls
 
 
-def _sequential(balls, *, max_solutions: int, node_budget: int):
-    solver = _ExactCover(balls, node_budget)
-    sols = []
-    for sol in solver.search([]):
-        if len(sol) < 2:
-            continue
-        sols.append(sol)
-        if max_solutions and len(sols) == max_solutions:
+def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budget: int):
+    """Partitions of the points into two or more balls, and the node count.
+
+    Each partition is a tuple of center ids in the order they were chosen.
+    The search stops after max_solutions partitions (0 = find them all).
+
+    Ball c is held as its lowest point id low[c] and a bitmask of its
+    points shifted down by low[c]. Once every point below p is covered, a
+    ball that covers p and is disjoint from the covered set has its lowest
+    point at p, so the candidates for the first uncovered point are exactly
+    the live balls starting there. Depth-first, without recursion.
+    """
+    low = [b[0] for b in balls]
+    masks = [sum(1 << (j - b[0]) for j in b) for b in balls]
+    starting: list[list[int]] = [[] for _ in balls]
+    for c, p in enumerate(low):
+        starting[p].append(c)
+    full = (1 << len(balls)) - 1
+    covered, chosen, stack, sols, nodes = 0, [], [], [], 0
+    while True:
+        nodes += 1
+        if node_budget and nodes > node_budget:
+            raise BudgetExceededError(f"search exceeded node budget of {node_budget}")
+        if covered == full:
+            if len(chosen) >= 2:
+                sols.append(tuple(chosen))
+                if len(sols) == max_solutions:
+                    break
+        else:
+            p = (~covered & (covered + 1)).bit_length() - 1
+            rest = covered >> p
+            stack.append(iter([c for c in starting[p] if not masks[c] & rest]))
+        # Backtrack to the deepest level with an untried candidate and take it.
+        while stack:
+            if len(chosen) == len(stack):
+                c = chosen.pop()
+                covered ^= masks[c] << low[c]
+            c = next(stack[-1], None)
+            if c is not None:
+                chosen.append(c)
+                covered |= masks[c] << low[c]
+                break
+            stack.pop()
+        else:
             break
-    return sols, solver.nodes
-
-
-def _parallel(balls, workers: int):
-    # Split on the first branching point; each candidate ball rooted there
-    # becomes an independent subtree with its own copy of the structures.
-    probe = _ExactCover(balls)
-    col = min(probe.X, key=lambda j: (len(probe.X[j]), j))
-    branches = sorted(probe.X[col])
-
-    def run_branch(c: int):
-        sub = _ExactCover(balls)
-        sub.select(c)
-        out = [sol for sol in sub.search([c]) if len(sol) >= 2]
-        return out, sub.nodes
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_branch, branches))
-    sols = [s for out, _ in results for s in out]
-    nodes = 1 + sum(n for _, n in results)  # 1 for the shared root
     return sols, nodes
 
 
-def enumerate_perfect_codes(problem: SearchProblem, workers: int = 1) -> SearchReport:
+def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
     """Find every nontrivial e-perfect code in the space.
 
     Solutions with fewer than two codewords (a single ball swallowing the
@@ -208,12 +168,9 @@ def enumerate_perfect_codes(problem: SearchProblem, workers: int = 1) -> SearchR
         )
     t0 = time.perf_counter()
     points, balls = _cover_matrix(space, e)
-    if workers > 1 and not problem.max_solutions and not problem.node_budget:
-        raw, nodes = _parallel(balls, workers)
-    else:
-        raw, nodes = _sequential(
-            balls, max_solutions=problem.max_solutions, node_budget=problem.node_budget
-        )
+    raw, nodes = _exact_covers(
+        balls, max_solutions=problem.max_solutions, node_budget=problem.node_budget
+    )
 
     codes = []
     if e >= 1:
@@ -338,7 +295,6 @@ def verify_theorem_sweep(
     e_max: int,
     *,
     point_budget: int = DEFAULT_POINT_BUDGET,
-    workers: int = 1,
 ) -> SweepReport:
     """Exhaustively search every (n, ell, e) cell and compare with the closed forms.
 
@@ -357,7 +313,7 @@ def verify_theorem_sweep(
                     problem = SearchProblem(
                         SimplexSpace(n, ell), e, count_only=True, point_budget=point_budget
                     )
-                    report = enumerate_perfect_codes(problem, workers=workers)
+                    report = enumerate_perfect_codes(problem)
                 except (BudgetExceededError, OverflowError):
                     cells.append(SweepCell(n, ell, e, predicted, None, True))
                 else:

@@ -56,38 +56,6 @@ class SimplexSpace:
         )
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit step in the simplex graph: +1 at coordinate i, -1 at coordinate j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("direction endpoints must differ")
-        if self.i < 0 or self.j < 0:
-            raise ValueError("coordinate indices must be >= 0")
-
-    def __neg__(self) -> Direction:
-        return Direction(self.j, self.i)
-
-    def as_vector(self, length: int) -> tuple[int, ...]:
-        v = [0] * length
-        v[self.i] = 1
-        v[self.j] = -1
-        return tuple(v)
-
-    def apply(self, x: Point) -> Point:
-        """x moved one step along this direction; coordinate j must be positive."""
-        if x[self.j] == 0:
-            raise ValueError(f"coordinate {self.j} cannot go below zero")
-        y = list(x)
-        y[self.i] += 1
-        y[self.j] -= 1
-        return tuple(y)
-
-
 def make_point(space: SimplexSpace, coords: Iterable[int]) -> Point:
     """Validate coords as a point of the space and return it as a tuple."""
     pt = tuple(coords)

@@ -3,6 +3,9 @@
 Everything here recomputes results from first principles (filtering the
 enumerated space, unpruned backtracking) and deliberately avoids the
 package's own neighbor/ball/decoder machinery, so agreement is meaningful.
+_ExactCover is the dict-of-sets Algorithm X solver that the package's
+search ran before the bitset solver replaced it, kept unchanged as a second
+exact-cover oracle.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from simplexcode import SimplexSpace, enumerate_space
+from simplexcode import BudgetExceededError, SimplexSpace, enumerate_space
 
 
 def surplus_distance(x, y) -> int:
@@ -84,3 +87,76 @@ def bf_perfect_codes(space: SimplexSpace, e: int, subset_cap: int = 2_000_000):
 
     extend([], frozenset())
     return sorted(solutions)
+
+
+class _ExactCover:
+    """Algorithm X over ball placements, dict-of-sets flavor.
+
+    X maps each point id to the set of live candidate centers whose ball
+    covers it; Y maps each candidate center to its (fixed) ball. Branching
+    always picks the point with the fewest live candidates, ties broken by
+    point id, so the exploration order is fully deterministic.
+    """
+
+    def __init__(self, balls: list[tuple[int, ...]], node_budget: int = 0):
+        self.Y = balls
+        self.X: dict[int, set[int]] = {}
+        for c, pts in enumerate(balls):
+            for j in pts:
+                self.X.setdefault(j, set()).add(c)
+        self.nodes = 0
+        self.node_budget = node_budget
+
+    def search(self, partial: list[int]):
+        self.nodes += 1
+        if self.node_budget and self.nodes > self.node_budget:
+            raise BudgetExceededError(f"search exceeded node budget of {self.node_budget}")
+        X = self.X
+        if not X:
+            yield tuple(partial)
+            return
+        col = min(X, key=lambda j: (len(X[j]), j))
+        for c in sorted(X[col]):
+            partial.append(c)
+            removed = self.select(c)
+            yield from self.search(partial)
+            self.restore(c, removed)
+            partial.pop()
+
+    def select(self, c: int) -> list[set[int]]:
+        X, Y = self.X, self.Y
+        cols = []
+        for j in Y[c]:
+            for i in X[j]:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].remove(i)
+            cols.append(X.pop(j))
+        return cols
+
+    def restore(self, c: int, cols: list[set[int]]) -> None:
+        X, Y = self.X, self.Y
+        for j in reversed(Y[c]):
+            X[j] = cols.pop()
+            for i in X[j]:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].add(i)
+
+
+def xc_perfect_codes(space: SimplexSpace, e: int):
+    """All nontrivial e-perfect codes, by _ExactCover over bf_ball incidences.
+
+    Returns the same shape as bf_perfect_codes: a sorted list of codeword
+    tuples, each in canonical decreasing order.
+    """
+    if e < 1:
+        return []
+    points = list(enumerate_space(space))
+    index = {p: i for i, p in enumerate(points)}
+    balls = [tuple(sorted(index[q] for q in bf_ball(space, x, e))) for x in points]
+    return sorted(
+        tuple(sorted((points[c] for c in sol), reverse=True))
+        for sol in _ExactCover(balls).search([])
+        if len(sol) >= 2
+    )

@@ -64,6 +64,13 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="64-bit"):
             ChannelConfig(seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field,value", [("seed", 1.5), ("seed", True), ("substitutions", "1"), ("deletions", 1.0)]
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ChannelConfig(**{field: value})
+
 
 class TestTransmit:
     def test_noiseless_is_a_permutation(self):
@@ -168,11 +175,12 @@ class TestRunExperiment:
             assert stats.mean_score == 0.0
 
     def test_deterministic_and_worker_independent(self):
+        # Experiments are single-threaded; three runs give one result.
         code = construct_ternary_perfect(2, 2)
         cfg = ChannelConfig(substitutions=2, deletions=1, insertions=1, seed=77)
         a = run_experiment(code, cfg, trials=300)
         b = run_experiment(code, cfg, trials=300)
-        c = run_experiment(code, cfg, trials=300, workers=4)
+        c = run_experiment(code, cfg, trials=300)
         assert a == b == c
         assert json.dumps(a.to_dict()) == json.dumps(c.to_dict())
 

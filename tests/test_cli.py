@@ -138,6 +138,15 @@ class TestSearch:
         assert code == 3
         assert "budget" in stderr
 
+    def test_deep_binary_search(self, capsys):
+        # 1,001 codewords deep, past the interpreter's default recursion limit.
+        code, stdout, _ = run(
+            capsys, "search", "--n", "1", "--ell", "3000", "--e", "1",
+            "--count-only", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(stdout)["solution_count"] == 1
+
 
 class TestSweep:
     def test_small_grid_exits_0(self, capsys):
@@ -217,6 +226,25 @@ class TestSimulate:
         code, _, stderr = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
         assert "unknown config fields" in stderr
+
+    @pytest.mark.parametrize(
+        "field,value", [("trials", "10"), ("trials", 10.0), ("seed", 1.5), ("seed", True)]
+    )
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, field, value):
+        self.write_code(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": "c22.json", "trials": 10, "seed": 1, field: value}))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {field} must be an integer")
+
+    def test_non_string_code_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": 7, "trials": 10, "seed": 1}))
+        code, _, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "code_file must be a string" in stderr
 
     def test_missing_code_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

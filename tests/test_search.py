@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bf_perfect_codes
+from oracles import bf_perfect_codes, xc_perfect_codes
 from simplexcode import (
     BudgetExceededError,
     Code,
@@ -21,6 +23,7 @@ from simplexcode import (
     predicted_perfect_count,
     verify_theorem_sweep,
 )
+from simplexcode.search import DEFAULT_POINT_BUDGET
 
 
 def found_sets(report):
@@ -99,6 +102,38 @@ class TestAgainstBruteForce:
         assert sorted(code.codewords for code in report.solutions) == expected
 
 
+class TestAgainstSecondOracle:
+    @settings(deadline=None)
+    @given(n=st.integers(1, 3), ell=st.integers(0, 12), e=st.integers(0, 3))
+    def test_matches_replaced_solver(self, n, ell, e):
+        space = SimplexSpace(n, ell)
+        report = enumerate_perfect_codes(SearchProblem(space, e))
+        expected = xc_perfect_codes(space, e)
+        assert sorted(code.codewords for code in report.solutions) == expected
+
+        first = enumerate_perfect_codes(SearchProblem(space, e, max_solutions=1))
+        assert first.solution_count == min(1, len(expected))
+        assert all(code.codewords in expected for code in first.solutions)
+
+        # The node budget admits exactly the nodes a full search needs.
+        nodes = report.nodes_explored
+        exact = enumerate_perfect_codes(SearchProblem(space, e, node_budget=nodes))
+        assert exact.solution_count == len(expected)
+        if nodes > 1:
+            with pytest.raises(BudgetExceededError, match="node budget"):
+                enumerate_perfect_codes(SearchProblem(space, e, node_budget=nodes - 1))
+
+
+class TestDeepSearch:
+    def test_largest_binary_cell_under_default_budget(self):
+        # One search level per codeword: 16,667 levels, far past the
+        # interpreter's recursion limit.
+        space = SimplexSpace(1, 49_999)
+        assert space.size() == DEFAULT_POINT_BUDGET
+        report = enumerate_perfect_codes(SearchProblem(space, 1))
+        assert len(report.solutions) == 2 == count_binary_perfect(49_999, 1)
+
+
 class TestOptionsAndBudgets:
     def test_count_only_omits_solutions(self):
         report = enumerate_perfect_codes(
@@ -116,9 +151,10 @@ class TestOptionsAndBudgets:
         assert report.to_dict()["problem"]["max_solutions"] == 1
 
     def test_max_solutions_ignores_worker_count(self):
+        # Searches are single-threaded; a truncated report is identical run to run.
         p = SearchProblem(SimplexSpace(1, 7), 1, max_solutions=1)
-        a = enumerate_perfect_codes(p, workers=1).to_dict()
-        b = enumerate_perfect_codes(p, workers=4).to_dict()
+        a = enumerate_perfect_codes(p).to_dict()
+        b = enumerate_perfect_codes(p).to_dict()
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
 
@@ -149,10 +185,11 @@ class TestOptionsAndBudgets:
 class TestDeterminism:
     @pytest.mark.parametrize("n,ell,e", [(2, 7, 2), (1, 13, 1), (3, 5, 1)])
     def test_reports_identical_across_workers(self, n, ell, e):
+        # Searches are single-threaded; three runs of a cell give one report.
         problem = SearchProblem(SimplexSpace(n, ell), e, symmetry_reduction=True)
         dicts = []
-        for workers in (1, 2, 5):
-            d = enumerate_perfect_codes(problem, workers=workers).to_dict()
+        for _ in range(3):
+            d = enumerate_perfect_codes(problem).to_dict()
             d.pop("wall_time")
             dicts.append(json.dumps(d, sort_keys=True))
         assert dicts[0] == dicts[1] == dicts[2]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from oracles import bf_ball, bf_neighbors, surplus_distance
 from simplexcode import (
-    Direction,
     SimplexSpace,
     ball,
     ball_size,
@@ -229,33 +228,6 @@ def test_diameter_equals_ell():
                 (distance(x, y) for x, y in combinations(pts, 2)), default=0
             )
             assert diam == ell
-
-
-class TestDirection:
-    def test_vector(self):
-        assert Direction(0, 1).as_vector(3) == (1, -1, 0)
-
-    def test_negation(self):
-        assert -Direction(1, 2) == Direction(2, 1)
-        assert Direction(1, 2).as_vector(3) == tuple(
-            -v for v in Direction(2, 1).as_vector(3)
-        )
-
-    def test_apply(self):
-        assert Direction(1, 0).apply((5, 0, 2)) == (4, 1, 2)
-        with pytest.raises(ValueError):
-            Direction(0, 1).apply((5, 0, 2))
-
-    def test_apply_is_a_neighbor(self):
-        x = (3, 2, 2)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert Direction(i, j).apply(x) in neighbors(x)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError):
-            Direction(1, 1)
 
 
 class TestPointText:
