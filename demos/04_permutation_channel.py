@@ -1,34 +1,30 @@
 """End-to-end simulation over the noisy permutation channel.
 
 The channel delivers symbols in arbitrary order, so only the multiset of
-symbols carries information. A codeword is sent as a bag of symbols, the
-receiver counts occurrences, and decoding minimizes the symmetric
-difference between count vectors, which tolerates insertions and deletions
-that push the received vector off the simplex.
+symbols carries information: the receiver sees a count vector. The channel
+is therefore simulated on count vectors directly, and decoding minimizes
+the symmetric difference between count vectors, which tolerates insertions
+and deletions that push the received vector off the simplex.
 """
 
 from simplexcode import (
     ChannelConfig,
     construct_ternary_perfect,
     decode_received,
-    encode,
     format_point,
-    receive,
     run_experiment,
     transmit,
 )
 
 code = construct_ternary_perfect(2, 2)  # three codewords in Delta_7^2, e = 2
 sent = code.codewords[0]
-print("codeword", format_point(sent), "is transmitted as", encode(sent))
 
 cfg = ChannelConfig(substitutions=2, seed=1)
-arrived = transmit(encode(sent), cfg, n=2)
-counts = receive(arrived, n=2)
+counts = transmit(sent, cfg)
 decoded, score = decode_received(code, counts)
-print("after 2 substitutions + permutation:", arrived)
-print("received counts", format_point(counts), "->", format_point(decoded),
-      f"(score {score}, correct: {decoded == sent})\n")
+print("sent", format_point(sent), "-> 2 substitutions + permutation -> received",
+      format_point(counts))
+print("decoded", format_point(decoded), f"(score {score}, correct: {decoded == sent})\n")
 
 # Monte Carlo over per-trial substreams: reproducible from the seed alone.
 for noise in (
@@ -44,9 +40,9 @@ for noise in (
         f"mean score {stats.mean_score:.2f}"
     )
 
-# Exhaustive mode replaces sampling with a full enumeration of noise
-# patterns, turning the e-substitution guarantee into a checked fact.
-print("\nexhaustive enumeration over ALL substitution patterns:")
+# Exhaustive mode replaces sampling with exact pattern counts, turning the
+# e-substitution guarantee into a checked fact.
+print("\nexhaustive count over ALL substitution patterns:")
 for weight in range(0, 4):
     stats = run_experiment(
         code, ChannelConfig(substitutions=weight), trials=1, exhaustive=True

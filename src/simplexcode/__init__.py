@@ -9,11 +9,8 @@ permutation channel (channel).
 from .channel import (
     ChannelConfig,
     ExperimentStats,
-    SymbolSequence,
     count_noise_patterns,
     decode_received,
-    encode,
-    receive,
     run_experiment,
     symmetric_difference,
     transmit,
@@ -75,7 +72,6 @@ __all__ = [
     "SimplexSpace",
     "SweepCell",
     "SweepReport",
-    "SymbolSequence",
     "ball",
     "ball_size",
     "binary_perfect_params",
@@ -90,7 +86,6 @@ __all__ = [
     "decode_received",
     "distance",
     "dumps_code",
-    "encode",
     "enumerate_perfect_codes",
     "enumerate_space",
     "format_point",
@@ -101,7 +96,6 @@ __all__ = [
     "neighbors",
     "parse_point",
     "predicted_perfect_count",
-    "receive",
     "run_experiment",
     "save_code",
     "symmetric_difference",

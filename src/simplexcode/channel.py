@@ -1,13 +1,18 @@
 """Noisy permutation-channel simulation for multiset codes.
 
-A codeword (a multiplicity vector) is transmitted as a bag of symbols; the
-channel permutes the bag arbitrarily and may corrupt it with symbol
-substitutions, deletions, and insertions. The receiver counts symbol
-occurrences, so the permutation drops out, and decodes the count vector
-against the code under the symmetric-difference metric: the unhalved L1
-distance between count vectors, which stays meaningful when insertions or
-deletions change the cardinality and the received vector leaves the
-simplex.
+A codeword (a multiplicity vector) is sent as a bag of symbols; the channel
+permutes the bag arbitrarily and may corrupt it with symbol substitutions,
+deletions, and insertions. The receiver sees only how often each symbol
+arrived, so the channel is modelled on count vectors alone: one transition
+function maps a count vector and an event kind to the count vectors a
+single event can lead to, each weighted by the number of position-level
+events that produce it. Sampling draws every event from these weights;
+exhaustive mode pushes exact integer weights through all events.
+
+The receiver decodes the count vector against the code under the
+symmetric-difference metric: the unhalved L1 distance between count
+vectors, which stays meaningful when insertions or deletions change the
+cardinality and the received vector leaves the simplex.
 
 Randomness comes from the Philox4x64 counter-based generator keyed by
 (seed, trial index), so every trial is an independent, reproducible
@@ -16,6 +21,7 @@ substream and the outcome of a trial does not depend on the others.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +29,6 @@ import numpy as np
 from .codes import Code
 from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import Point
-
-SymbolSequence = tuple[int, ...]
 
 # Exhaustive pattern enumeration refuses to start above this many patterns.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
@@ -39,7 +43,8 @@ class ChannelConfig:
     The channel applies exactly `substitutions` substitutions (uniform
     position, uniform different symbol), then exactly `deletions` deletions
     (uniform position), then exactly `insertions` insertions (uniform
-    symbol, uniform position), then a uniform permutation.
+    symbol, uniform position), then a uniform permutation, which the
+    receiver cannot see.
     """
 
     substitutions: int = 0
@@ -65,66 +70,76 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_alphabet(seq, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for sym in seq:
-        if not 0 <= sym <= n:
-            raise ValueError(f"symbol {sym} outside alphabet 0..{n}")
+def _events(cfg: ChannelConfig) -> tuple[str, ...]:
+    """Event kinds in channel order: substitutions, deletions, insertions."""
+    return (
+        ("substitution",) * cfg.substitutions
+        + ("deletion",) * cfg.deletions
+        + ("insertion",) * cfg.insertions
+    )
 
 
-def encode(c: Point) -> SymbolSequence:
-    """Spell a multiplicity vector out as a sequence: c[i] copies of symbol i."""
-    out: list[int] = []
-    for sym, count in enumerate(c):
-        out.extend([sym] * count)
-    return tuple(out)
+def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
+    """Count vectors one event turns `counts` into, with integer weights.
 
-
-def _apply_noise(seq, cfg: ChannelConfig, n: int, rng: np.random.Generator) -> list[int]:
-    s = list(seq)
-    if cfg.substitutions:
-        if not s:
-            raise ValueError("cannot substitute into an empty sequence")
-        if n < 1:
-            raise ValueError("substitution needs an alphabet with at least 2 symbols")
-    for _ in range(cfg.substitutions):
-        pos = int(rng.integers(len(s)))
-        shift = 1 + int(rng.integers(n))  # uniform over the n other symbols
-        s[pos] = (s[pos] + shift) % (n + 1)
-    if cfg.deletions > len(s):
-        raise ValueError(
-            f"cannot delete {cfg.deletions} symbols from a sequence of length {len(s)}"
-        )
-    for _ in range(cfg.deletions):
-        pos = int(rng.integers(len(s)))
-        del s[pos]
-    for _ in range(cfg.insertions):
-        pos = int(rng.integers(len(s) + 1))
-        s.insert(pos, int(rng.integers(n + 1)))
-    order = rng.permutation(len(s))
-    return [s[i] for i in order]
-
-
-def transmit(seq: SymbolSequence, cfg: ChannelConfig, n: int, trial: int = 0) -> SymbolSequence:
-    """Push a sequence through the noisy permutation channel.
-
-    The output is fully determined by (cfg.seed, trial). The alphabet size
-    must be supplied because substitutions and insertions draw replacement
-    symbols from it.
+    A weight counts the position-level events giving that vector: counts[i]
+    for a substitution of symbol i by j != i or a deletion of i, and
+    sum(counts)+1 (one per slot) for an insertion of any symbol.
     """
-    _check_alphabet(seq, n)
-    rng = _trial_rng(cfg.seed, trial)
-    return tuple(_apply_noise(seq, cfg, n, rng))
+    size = len(counts)
+    if kind == "insertion":
+        weight = sum(counts) + 1
+        return [(counts[:j] + (counts[j] + 1,) + counts[j + 1 :], weight) for j in range(size)]
+    out = []
+    for i, weight in enumerate(counts):
+        if weight:
+            less = counts[:i] + (weight - 1,) + counts[i + 1 :]
+            if kind == "deletion":
+                out.append((less, weight))
+            else:
+                out += [
+                    (less[:j] + (less[j] + 1,) + less[j + 1 :], weight)
+                    for j in range(size)
+                    if j != i
+                ]
+    return out
 
 
-def receive(seq, n: int) -> tuple[int, ...]:
-    """Count symbol occurrences; permutation-invariant by construction."""
-    _check_alphabet(seq, n)
-    counts = [0] * (n + 1)
-    for sym in seq:
-        counts[sym] += 1
-    return tuple(counts)
+def _checked_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
+    """count_noise_patterns, rejecting events that cannot act on the sequence."""
+    if cfg.substitutions and n < 1:
+        raise ValueError("substitution needs an alphabet with at least 2 symbols")
+    return count_noise_patterns(length, cfg, n)
+
+
+def _sample(counts: Point, cfg: ChannelConfig, rng: np.random.Generator) -> Point:
+    """Apply the configured events to a count vector, one draw per event.
+
+    Each draw is uniform below the event's total weight and picks the
+    transition whose cumulative weight range holds it.
+    """
+    for kind in _events(cfg):
+        moves = _transitions(counts, kind)
+        r = int(rng.integers(sum([weight for _, weight in moves])))
+        for nxt, weight in moves:
+            if r < weight:
+                break
+            r -= weight
+        counts = nxt
+    return counts
+
+
+def transmit(counts, cfg: ChannelConfig, trial: int = 0) -> Point:
+    """Push a count vector through the noisy permutation channel.
+
+    `counts` has one entry per alphabet symbol; the result is the received
+    count vector, fully determined by (cfg.seed, trial).
+    """
+    sent = tuple(counts)
+    if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
+        raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
+    _checked_patterns(sum(sent), cfg, len(sent) - 1)
+    return _sample(sent, cfg, _trial_rng(cfg.seed, trial))
 
 
 def symmetric_difference(a, b) -> int:
@@ -220,52 +235,52 @@ def run_experiment(
     *,
     exhaustive: bool = False,
 ) -> ExperimentStats:
-    """Drive encode -> channel -> receive -> decode and tally the outcomes.
+    """Send codewords through the channel, decode, and tally the outcomes.
 
     Sampling mode runs `trials` independent trials; trial t draws its
     codeword (uniform or round-robin) and its noise from the (seed, t)
     substream, so results do not depend on the order trials run in.
 
-    Exhaustive mode ignores `trials` and instead enumerates every noise
-    pattern of the configured weights for every codeword. Patterns are
-    enumerated at the granularity the sampler draws them (position by
-    position), so each pattern is equally likely under sampling and the
-    exhaustive rates equal the exact expectations. This proves worst-case
-    claims: success_rate == 1.0 means no pattern of that weight can fool
-    the decoder.
+    Exhaustive mode ignores `trials` and counts every position-level noise
+    pattern of the configured weights for every codeword: integer weights
+    are pushed through the events, and each distinct received vector is
+    decoded once and counted once per pattern leading to it. Each pattern
+    is equally likely under sampling, so the exhaustive rates are the exact
+    expectations. success_rate == 1.0 thus proves that no pattern of that
+    weight can fool the decoder.
     """
     if codeword_selection not in _SELECTIONS:
         raise ValueError(f"codeword_selection must be one of {_SELECTIONS}")
     if exhaustive:
         return _run_exhaustive(code, cfg)
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = code.space.n
+    _checked_patterns(code.space.ell, cfg, code.space.n)
     words = code.codewords
-
-    def one_trial(t: int) -> tuple[str, int]:
+    outcomes: Counter = Counter()
+    for t in range(trials):
         rng = _trial_rng(cfg.seed, t)
         if codeword_selection == "uniform":
             sent = words[int(rng.integers(len(words)))]
         else:
             sent = words[t % len(words)]
-        noisy = _apply_noise(encode(sent), cfg, n, rng)
-        return _decode_outcome(code, sent, receive(noisy, n))
-
-    return _tally([one_trial(t) for t in range(trials)], exhaustive=False)
+        outcomes[_decode_outcome(code, sent, _sample(sent, cfg, rng))] += 1
+    return _tally(outcomes, exhaustive=False)
 
 
-def _tally(outcomes, *, exhaustive: bool) -> ExperimentStats:
-    successes = sum(1 for kind, _ in outcomes if kind == "success")
-    ambiguous = sum(1 for kind, _ in outcomes if kind == "ambiguous")
-    errors = sum(1 for kind, _ in outcomes if kind == "error")
-    score_total = sum(score for _, score in outcomes)
+def _tally(outcomes: Counter, *, exhaustive: bool) -> ExperimentStats:
+    """Stats from a Counter that maps (outcome, score) to a number of decodes."""
+    kinds: Counter = Counter()
+    for (kind, _), count in outcomes.items():
+        kinds[kind] += count
     return ExperimentStats(
-        trials=len(outcomes),
-        successes=successes,
-        ambiguous=ambiguous,
-        errors=errors,
-        score_total=score_total,
+        trials=sum(outcomes.values()),
+        successes=kinds["success"],
+        ambiguous=kinds["ambiguous"],
+        errors=kinds["error"],
+        score_total=sum(score * count for (_, score), count in outcomes.items()),
         exhaustive=exhaustive,
     )
 
@@ -289,47 +304,24 @@ def count_noise_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
     return total
 
 
-def _noisy_variants(seq: SymbolSequence, subs: int, dels: int, ins: int, n: int):
-    """Yield the sequence after every pattern of exactly the given events.
-
-    Events are expanded in the channel's order (substitutions, deletions,
-    insertions); the final permutation is skipped because reception only
-    counts symbols. Patterns that visit the same position twice are
-    enumerated as the sampler would draw them, so the multiset of yields
-    matches the sampling distribution exactly.
-    """
-    if subs:
-        for pos in range(len(seq)):
-            for shift in range(1, n + 1):
-                nxt = list(seq)
-                nxt[pos] = (nxt[pos] + shift) % (n + 1)
-                yield from _noisy_variants(tuple(nxt), subs - 1, dels, ins, n)
-    elif dels:
-        for pos in range(len(seq)):
-            yield from _noisy_variants(seq[:pos] + seq[pos + 1 :], 0, dels - 1, ins, n)
-    elif ins:
-        for pos in range(len(seq) + 1):
-            for sym in range(n + 1):
-                yield from _noisy_variants(seq[:pos] + (sym,) + seq[pos:], 0, 0, ins - 1, n)
-    else:
-        yield seq
-
-
 def _run_exhaustive(code: Code, cfg: ChannelConfig) -> ExperimentStats:
-    n = code.space.n
-    ell = code.space.ell
-    if cfg.substitutions and n < 1:
-        raise ValueError("substitution needs an alphabet with at least 2 symbols")
-    per_codeword = count_noise_patterns(ell, cfg, n)
-    total = per_codeword * len(code.codewords)
+    total = _checked_patterns(code.space.ell, cfg, code.space.n) * len(code.codewords)
     if total > EXHAUSTIVE_PATTERN_BUDGET:
+        # str() refuses integers of more than 4,300 digits.
+        shown = total if total < 10**100 else f"over 2^{total.bit_length() - 1}"
         raise BudgetExceededError(
-            f"exhaustive mode would enumerate {total} patterns, "
+            f"exhaustive mode would enumerate {shown} patterns, "
             f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
         )
-    outcomes = []
+    outcomes: Counter = Counter()
     for sent in code.codewords:
-        base = encode(sent)
-        for noisy in _noisy_variants(base, cfg.substitutions, cfg.deletions, cfg.insertions, n):
-            outcomes.append(_decode_outcome(code, sent, receive(noisy, n)))
+        weights: Counter = Counter({sent: 1})
+        for kind in _events(cfg):
+            nxt: Counter = Counter()
+            for counts, weight in weights.items():
+                for moved, ways in _transitions(counts, kind):
+                    nxt[moved] += weight * ways
+            weights = nxt
+        for received, weight in weights.items():
+            outcomes[_decode_outcome(code, sent, received)] += weight
     return _tally(outcomes, exhaustive=True)

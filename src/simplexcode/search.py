@@ -37,8 +37,8 @@ class SearchProblem:
 
     max_solutions = 0 means unbounded; otherwise the search stops after the
     first max_solutions codes it meets in depth-first order. point_budget
-    bounds the space size; node_budget (0 = unbounded) bounds search-tree
-    nodes.
+    bounds the space size and the number of coordinates per point;
+    node_budget (0 = unbounded) bounds search-tree nodes.
     """
 
     space: SimplexSpace
@@ -165,6 +165,11 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
     if size > problem.point_budget:
         raise BudgetExceededError(
             f"space has {size} points, over the point budget of {problem.point_budget}"
+        )
+    if space.n + 1 > problem.point_budget:  # ell = 0: one point, but a wide one
+        raise BudgetExceededError(
+            f"points have {space.n + 1} coordinates, over the point budget of "
+            f"{problem.point_budget}"
         )
     t0 = time.perf_counter()
     points, balls = _cover_matrix(space, e)

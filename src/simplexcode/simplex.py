@@ -35,7 +35,8 @@ class SimplexSpace:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.ell < 0:
             raise ValueError(f"ell must be >= 0, got {self.ell}")
-        if math.comb(self.n + self.ell, self.ell) > _MAX_SPACE_SIZE:
+        # C(n+ell, ell) >= 2**min(n, ell): skip the exact count when that is too big.
+        if min(self.n, self.ell) >= 63 or math.comb(self.n + self.ell, self.ell) > _MAX_SPACE_SIZE:
             raise OverflowError(
                 f"space size C({self.n + self.ell},{self.ell}) does not fit in 64 bits"
             )
@@ -84,18 +85,23 @@ def enumerate_space(space: SimplexSpace) -> Iterator[Point]:
 
     The first point is (ell, 0, ..., 0) and the last is (0, ..., 0, ell).
     The order is fixed so that enumeration doubles as the canonical point
-    order for code files and reports.
+    order for code files and reports. Iterative: the successor lowers the
+    last nonzero coordinate before the final one by 1 and moves the final
+    one, plus that 1, into the next slot.
     """
-    yield from _descending_compositions(space.ell, space.n + 1)
-
-
-def _descending_compositions(total: int, parts: int) -> Iterator[Point]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _descending_compositions(total - head, parts - 1):
-            yield (head,) + tail
+    x = [space.ell] + [0] * space.n
+    last = space.n
+    while True:
+        yield tuple(x)
+        i = last - 1
+        while i >= 0 and x[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        x[i] -= 1
+        rest = x[last] + 1
+        x[last] = 0
+        x[i + 1] = rest
 
 
 def neighbors(x: Point) -> set[Point]:

@@ -5,15 +5,28 @@ enumerated space, unpruned backtracking) and deliberately avoids the
 package's own neighbor/ball/decoder machinery, so agreement is meaningful.
 _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
-exact-cover oracle.
+exact-cover oracle. _noisy_variants is the position-level noise enumerator
+that the channel's exhaustive mode ran before the count-domain model
+replaced it, kept unchanged as the channel oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from simplexcode import BudgetExceededError, SimplexSpace, enumerate_space
+from simplexcode import (
+    AmbiguousDecodeError,
+    BudgetExceededError,
+    ExperimentStats,
+    SimplexSpace,
+    decode_received,
+    enumerate_space,
+)
+
+SymbolSequence = tuple[int, ...]
 
 
 def surplus_distance(x, y) -> int:
@@ -160,3 +173,88 @@ def xc_perfect_codes(space: SimplexSpace, e: int):
         for sol in _ExactCover(balls).search([])
         if len(sol) >= 2
     )
+
+
+def _noisy_variants(seq: SymbolSequence, subs: int, dels: int, ins: int, n: int):
+    """Yield the sequence after every pattern of exactly the given events.
+
+    Events are expanded in the channel's order (substitutions, deletions,
+    insertions); the final permutation is skipped because reception only
+    counts symbols. Patterns that visit the same position twice are
+    enumerated as the sampler would draw them, so the multiset of yields
+    matches the sampling distribution exactly.
+    """
+    if subs:
+        for pos in range(len(seq)):
+            for shift in range(1, n + 1):
+                nxt = list(seq)
+                nxt[pos] = (nxt[pos] + shift) % (n + 1)
+                yield from _noisy_variants(tuple(nxt), subs - 1, dels, ins, n)
+    elif dels:
+        for pos in range(len(seq)):
+            yield from _noisy_variants(seq[:pos] + seq[pos + 1 :], 0, dels - 1, ins, n)
+    elif ins:
+        for pos in range(len(seq) + 1):
+            for sym in range(n + 1):
+                yield from _noisy_variants(seq[:pos] + (sym,) + seq[pos:], 0, 0, ins - 1, n)
+    else:
+        yield seq
+
+
+def positional_exhaustive(code, cfg) -> ExperimentStats:
+    """Exhaustive-mode ExperimentStats, computed position by position.
+
+    Spells each codeword out as a symbol sequence, enumerates every pattern
+    with _noisy_variants, and decodes each distinct received count vector
+    once, counting it once per pattern. It decodes with the package's
+    decode_received on purpose: what it checks is the noise model.
+    """
+    n = code.space.n
+    successes = ambiguous = errors = score_total = trials = 0
+    for sent in code.codewords:
+        seq = tuple(sym for sym, count in enumerate(sent) for _ in range(count))
+        received = Counter(
+            tuple(noisy.count(sym) for sym in range(n + 1))
+            for noisy in _noisy_variants(
+                seq, cfg.substitutions, cfg.deletions, cfg.insertions, n
+            )
+        )
+        for counts, times in received.items():
+            try:
+                decoded, score = decode_received(code, counts)
+            except AmbiguousDecodeError as exc:
+                ambiguous += times
+                score = exc.score
+            else:
+                if decoded == sent:
+                    successes += times
+                else:
+                    errors += times
+            score_total += score * times
+            trials += times
+    return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive=True)
+
+
+def binomial_bounds(trials: int, num: int, den: int, tail: Fraction) -> tuple[int, int]:
+    """Central range of Binomial(trials, num/den) outside which each tail is below `tail`.
+
+    Exact: term k is C(trials, k) num^k (den-num)^(trials-k), the
+    probability of k times den**trials, built by an exact recurrence.
+    """
+    if num == 0:
+        return 0, 0
+    if num == den:
+        return trials, trials
+    terms = [(den - num) ** trials]
+    for k in range(trials):
+        terms.append(terms[k] * (trials - k) * num // ((k + 1) * (den - num)))
+    limit = tail.numerator * den**trials
+    lo, acc = 0, terms[0]
+    while acc * tail.denominator <= limit:
+        lo += 1
+        acc += terms[lo]
+    hi, acc = trials, terms[trials]
+    while acc * tail.denominator <= limit:
+        hi -= 1
+        acc += terms[hi]
+    return lo, hi

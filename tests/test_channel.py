@@ -1,11 +1,13 @@
-"""Permutation channel: encoding, noise, reception, experiment harness."""
+"""Permutation channel: count-vector noise, decoding, experiment harness."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from oracles import _noisy_variants, binomial_bounds, positional_exhaustive
 
 from simplexcode import (
     AmbiguousDecodeError,
@@ -19,40 +21,23 @@ from simplexcode import (
     count_noise_patterns,
     decode,
     decode_received,
-    encode,
     enumerate_space,
-    receive,
     run_experiment,
     symmetric_difference,
     transmit,
 )
 
+# Sampled counts must lie inside the central 1 - 2e-9 of their exact
+# binomial distribution; a correct sampler misses about once in 10^8 checks.
+_TAIL = Fraction(1, 10**9)
 
-class TestEncode:
-    def test_multiplicities_spelled_out(self):
-        assert encode((5, 0, 2)) == (0, 0, 0, 0, 0, 2, 2)
-
-    def test_single_symbol(self):
-        assert encode((0, 0, 4)) == (2, 2, 2, 2)
-
-    def test_empty(self):
-        assert encode((0, 0)) == ()
-
-
-class TestReceive:
-    def test_counts(self):
-        assert receive((2, 0, 0, 2, 0, 0, 0), 2) == (5, 0, 2)
-
-    def test_empty_sequence(self):
-        assert receive((), 2) == (0, 0, 0)
-
-    def test_round_trip(self):
-        for x in enumerate_space(SimplexSpace(2, 7)):
-            assert receive(encode(x), 2) == x
-
-    def test_out_of_alphabet(self):
-        with pytest.raises(ValueError, match="outside alphabet"):
-            receive((0, 3), 2)
+# Exhaustive outcomes on the ternary e=2 code (variant 2), keyed by
+# (substitutions, insertions, deletions): (successes, ambiguous, errors, patterns).
+EXACT_TERNARY_E2 = {
+    (3, 0, 0): (6342, 0, 1890, 8232),
+    (2, 1, 1): (73206, 0, 13230, 86436),
+    (4, 0, 0): (81588, 0, 33660, 115248),
+}
 
 
 class TestChannelConfig:
@@ -74,35 +59,29 @@ class TestChannelConfig:
 
 class TestTransmit:
     def test_noiseless_is_a_permutation(self):
-        seq = encode((5, 0, 2))
+        # A permutation alone leaves every symbol count unchanged.
         for seed in range(20):
-            out = transmit(seq, ChannelConfig(seed=seed), 2)
-            assert Counter(out) == Counter(seq)
+            assert transmit((5, 0, 2), ChannelConfig(seed=seed)) == (5, 0, 2)
 
     def test_same_seed_same_output(self):
         cfg = ChannelConfig(substitutions=2, deletions=1, insertions=1, seed=99)
-        seq = encode((3, 2, 2))
-        assert transmit(seq, cfg, 2) == transmit(seq, cfg, 2)
+        assert transmit((3, 2, 2), cfg) == transmit((3, 2, 2), cfg)
 
     def test_trials_give_distinct_streams(self):
-        cfg = ChannelConfig(seed=4)
-        seq = encode((3, 2, 2))
-        outs = {transmit(seq, cfg, 2, trial=t) for t in range(8)}
-        assert len(outs) > 1  # the permutation varies across substreams
+        cfg = ChannelConfig(substitutions=1, seed=4)
+        outs = {transmit((3, 2, 2), cfg, trial=t) for t in range(8)}
+        assert len(outs) > 1  # the noise varies across substreams
 
     def test_substitution_forces_a_different_symbol(self):
-        cfg = ChannelConfig(substitutions=1)
         for seed in range(30):
-            out = transmit((0, 0), ChannelConfig(substitutions=1, seed=seed), 2)
-            counts = receive(out, 2)
+            counts = transmit((2, 0, 0), ChannelConfig(substitutions=1, seed=seed))
             assert counts[0] == 1
             assert counts in ((1, 1, 0), (1, 0, 1))
 
     def test_one_substitution_moves_along_a_direction(self):
         sent = (5, 0, 2)
         for seed in range(25):
-            out = transmit(encode(sent), ChannelConfig(substitutions=1, seed=seed), 2)
-            got = receive(out, 2)
+            got = transmit(sent, ChannelConfig(substitutions=1, seed=seed))
             delta = [g - s for g, s in zip(got, sent)]
             assert sorted(delta) == [-1, 0, 1]
             assert symmetric_difference(got, sent) == 2
@@ -110,22 +89,43 @@ class TestTransmit:
     def test_one_deletion_or_insertion_moves_by_one(self):
         sent = (5, 0, 2)
         for seed in range(25):
-            out = transmit(encode(sent), ChannelConfig(deletions=1, seed=seed), 2)
-            assert symmetric_difference(receive(out, 2), sent) == 1
-            out = transmit(encode(sent), ChannelConfig(insertions=1, seed=seed), 2)
-            assert symmetric_difference(receive(out, 2), sent) == 1
+            got = transmit(sent, ChannelConfig(deletions=1, seed=seed))
+            assert symmetric_difference(got, sent) == 1
+            got = transmit(sent, ChannelConfig(insertions=1, seed=seed))
+            assert symmetric_difference(got, sent) == 1
 
     def test_too_many_deletions(self):
         with pytest.raises(ValueError, match="cannot delete"):
-            transmit((0, 1), ChannelConfig(deletions=3), 2)
+            transmit((1, 1, 0), ChannelConfig(deletions=3))
 
     def test_substitution_into_empty(self):
         with pytest.raises(ValueError, match="empty sequence"):
-            transmit((), ChannelConfig(substitutions=1), 2)
+            transmit((0, 0, 0), ChannelConfig(substitutions=1))
 
     def test_substitution_needs_two_symbols(self):
         with pytest.raises(ValueError, match="at least 2 symbols"):
-            transmit((0, 0), ChannelConfig(substitutions=1), 0)
+            transmit((2,), ChannelConfig(substitutions=1))
+
+    @pytest.mark.parametrize("counts", [(), (1, -1, 0), (1, 1.0), (True, 0)])
+    def test_rejects_malformed_counts(self, counts):
+        with pytest.raises(ValueError, match="count"):
+            transmit(counts, ChannelConfig())
+
+    def test_received_vectors_follow_the_positional_patterns(self):
+        # Every position-level pattern is equally likely, so each received
+        # vector's frequency is binomial with the oracle's pattern share.
+        sent, trials = (5, 0, 2), 2000
+        cfg = ChannelConfig(substitutions=1, deletions=1, insertions=1, seed=2024)
+        seq = (0,) * 5 + (2,) * 2
+        patterns = Counter(
+            tuple(v.count(sym) for sym in range(3)) for v in _noisy_variants(seq, 1, 1, 1, 2)
+        )
+        total = sum(patterns.values())
+        seen = Counter(transmit(sent, cfg, trial=t) for t in range(trials))
+        assert set(seen) <= set(patterns)
+        for counts, ways in patterns.items():
+            lo, hi = binomial_bounds(trials, ways, total, _TAIL)
+            assert lo <= seen[counts] <= hi, (counts, seen[counts], lo, hi)
 
 
 class TestDecodeReceived:
@@ -200,6 +200,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trials"):
             run_experiment(code, ChannelConfig(), trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 10.0, "10", None])
+    def test_rejects_non_integer_trials(self, trials):
+        code = construct_ternary_perfect(1, 1)
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            run_experiment(code, ChannelConfig(), trials=trials)
+
+    @pytest.mark.parametrize(
+        "code,noise,seed",
+        [
+            (construct_ternary_perfect(2, 2), (3, 0, 0), 11),
+            (construct_ternary_perfect(2, 2), (2, 1, 1), 12),
+            (construct_ternary_perfect(1, 1), (1, 1, 0), 13),
+            (construct_binary_perfect(10, 1, 1), (0, 2, 1), 14),
+            (construct_binary_perfect(9, 2, 1), (3, 0, 0), 15),
+        ],
+    )
+    def test_sampled_counts_within_binomial_bounds(self, code, noise, seed):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=seed)
+        exact = run_experiment(code, cfg, trials=1, exhaustive=True)
+        trials = 2000
+        sampled = run_experiment(code, cfg, trials=trials)
+        assert sampled.trials == trials
+        for name in ("successes", "ambiguous", "errors"):
+            lo, hi = binomial_bounds(trials, getattr(exact, name), exact.trials, _TAIL)
+            assert lo <= getattr(sampled, name) <= hi, (name, getattr(sampled, name), lo, hi)
+
     def test_rates_sum_to_one(self):
         code = construct_ternary_perfect(1, 1)
         cfg = ChannelConfig(substitutions=2, seed=5)
@@ -264,9 +291,51 @@ class TestExhaustiveMode:
         with pytest.raises(BudgetExceededError, match="patterns"):
             run_experiment(code, ChannelConfig(substitutions=5), trials=1, exhaustive=True)
 
+    def test_budget_guard_reports_astronomical_counts(self):
+        # 3 * 14**10000 patterns: a number too long for str().
+        code = construct_ternary_perfect(2, 2)
+        with pytest.raises(BudgetExceededError, match=r"over 2\^38\d+ patterns"):
+            run_experiment(code, ChannelConfig(substitutions=10_000), trials=1, exhaustive=True)
+
     def test_mixed_noise_keeps_cardinality_bookkeeping(self):
         code = construct_ternary_perfect(1, 1)
         stats = run_experiment(code, ChannelConfig(deletions=1), trials=1, exhaustive=True)
         # one deletion always changes the count vector by exactly 1
         assert stats.trials == 3 * 4
         assert stats.mean_score >= 1.0
+
+
+def _small_perfect_codes():
+    """Every ternary code with e <= 2 and every binary code with ell <= 10, e <= 2."""
+    codes = [construct_ternary_perfect(e, v) for e in (1, 2) for v in (1, 2)]
+    codes += [
+        construct_binary_perfect(ell, e, m)
+        for e in (1, 2)
+        for ell in range(2 * e + 1, 11)
+        for m in range(1, count_binary_perfect(ell, e) + 1)
+    ]
+    return codes
+
+
+class TestAgainstPositionalOracle:
+    """Exhaustive mode against the replaced position-level enumerator."""
+
+    @pytest.mark.parametrize("code", _small_perfect_codes(), ids=repr)
+    def test_every_weight_up_to_three(self, code):
+        for subs in range(4):
+            for ins in range(4 - subs):
+                for dels in range(4 - subs - ins):
+                    cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
+                    got = run_experiment(code, cfg, trials=1, exhaustive=True)
+                    want = positional_exhaustive(code, cfg)
+                    assert got == want, (subs, ins, dels)
+                    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("noise", sorted(EXACT_TERNARY_E2))
+    def test_ternary_e2_reference_counts(self, noise):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
+        code = construct_ternary_perfect(2, 2)
+        got = run_experiment(code, cfg, trials=1, exhaustive=True)
+        assert got == positional_exhaustive(code, cfg)
+        assert (got.successes, got.ambiguous, got.errors, got.trials) == EXACT_TERNARY_E2[noise]

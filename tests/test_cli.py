@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from simplexcode import format_point
 from simplexcode.cli import main
 
 
@@ -105,6 +106,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--code", str(tmp_path / "nope.json"), "--e", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("drop_first", [False, True])
+    def test_wide_alphabet_code_file(self, tmp_path, capsys, drop_first):
+        # 1,201 symbols: more coordinates than the default recursion limit.
+        n = 1200
+        words = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"n": n, "ell": 1, "e": 0, "codewords": words[1:] if drop_first else words}
+        ))
+        code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "0")
+        assert stderr == ""
+        if drop_first:
+            assert code == 1
+            assert stdout == f"not perfect: point {format_point(tuple(words[0]))} is uncovered\n"
+        else:
+            assert code == 0
+            assert stdout == "perfect: codeword balls partition the space\n"
+
 
 class TestSearch:
     def test_two_solutions(self, capsys):
@@ -146,6 +165,16 @@ class TestSearch:
         )
         assert code == 0
         assert json.loads(stdout)["solution_count"] == 1
+
+
+    def test_wide_alphabet_search(self, capsys):
+        # 1,201 coordinates per point, past the default recursion limit.
+        code, stdout, stderr = run(
+            capsys, "search", "--n", "1200", "--ell", "1", "--e", "0",
+            "--count-only", "--format", "json",
+        )
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["solution_count"] == 0
 
 
 class TestSweep:

@@ -1,0 +1,183 @@
+"""Fuzzed CLI input: every run ends with an exit status of the contract, never a traceback.
+
+Each input starts valid and then has up to two fields replaced by the wrong
+type, a negative or oversized number, or text, and sometimes one field
+dropped. Alphabets reach 1,501 symbols. Work stays bounded: searches pass
+a point budget below 40, experiments run at most 20 trials of at most 3
+events of each kind, and alphabets wider than 8 symbols only meet radius 0,
+because ball() grows with the square of the alphabet size.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from simplexcode.cli import main
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+HUGE = st.sampled_from([2**63, 2**64, 10**30, -(10**30)])
+ARG_JUNK = st.one_of(
+    st.sampled_from(["", "x", "1.5", "1e3", "-", "0x10", "nan", "--e"]),
+    HUGE.map(str),
+    st.integers(-3, -1).map(str),
+)
+# Positive oversized values stay out of the JSON junk: event and trial
+# counts set the amount of work a run does.
+JSON_JUNK = st.one_of(
+    st.integers(-3, -1), st.just(-(10**30)), st.none(), st.booleans(),
+    st.floats(allow_nan=False), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+)
+
+# True about one draw in ten (a bare integers(0, 9) == 0 would favour 0).
+RARELY = st.sampled_from([False] * 9 + [True])
+
+# (n, ell): a small space, or a wide alphabet with ell <= 1.
+SPACES = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 7)),
+    st.tuples(st.integers(5, 1500), st.integers(0, 1)),
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed argv this way
+            status = exc.code
+    return status, err.getvalue()
+
+
+def assert_contract(argv):
+    status, stderr = run(argv)
+    assert status in (0, 1, 2, 3), (argv, status, stderr)
+    assert "Traceback" not in stderr, (argv, stderr)
+
+
+@st.composite
+def corrupted(draw, valid: dict, junk):
+    """`valid` with, sometimes, one or two values replaced by junk or one key dropped."""
+    out = dict(valid)
+    bad = draw(st.sampled_from([0] * 6 + [1] * 3 + [2]))
+    for key in draw(st.lists(st.sampled_from(sorted(out)), min_size=bad, max_size=bad, unique=True)):
+        out[key] = draw(junk)
+    if draw(RARELY):
+        del out[draw(st.sampled_from(sorted(out)))]
+    return out
+
+
+def radius(n):
+    return st.integers(0, 3) if n <= 7 else st.just(0)
+
+
+@st.composite
+def search_argv(draw):
+    n, ell = draw(SPACES)
+    opts = {
+        "--n": str(n),
+        "--ell": str(ell),
+        "--e": str(draw(radius(n))),
+        "--max-solutions": str(draw(st.integers(0, 3))),
+        "--format": draw(st.sampled_from(["text", "json"])),
+    }
+    argv = ["search"]
+    for name, value in draw(corrupted(opts, ARG_JUNK)).items():
+        argv += [name, value]
+    budget = draw(st.sampled_from(["-1", "x"])) if draw(RARELY) else str(draw(st.integers(0, 39)))
+    argv += ["--point-budget", budget]
+    argv += draw(st.lists(st.sampled_from(["--count-only", "--orbits"]), max_size=2, unique=True))
+    return argv
+
+
+@st.composite
+def code_file(draw):
+    """A code file's JSON object and the alphabet size it was drawn for.
+
+    Codewords come from a line of points (i, ell-i, 0, ...) of a small
+    space, or from the unit vectors (times ell) of a wide one.
+    """
+    n, ell = draw(SPACES)
+    wide = n > 7
+    size = 1 if n == 0 or ell == 0 else (n + 1 if wide else ell + 1)
+    picks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6, unique=True))
+    if wide:
+        words = [[ell if j == i else 0 for j in range(n + 1)] for i in picks]
+    else:
+        words = [[ell] if n == 0 else [i, ell - i] + [0] * (n - 1) for i in picks]
+    obj = {"n": n, "ell": ell, "e": draw(st.one_of(st.none(), radius(n))), "codewords": words}
+    return draw(corrupted(obj, st.one_of(JSON_JUNK, HUGE))), n
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    codes = {
+        "t1.json": {"n": 2, "ell": 4, "e": 1, "codewords": [[3, 1, 0], [0, 3, 1], [1, 0, 3]]},
+        "b8.json": {"n": 1, "ell": 8, "e": 1, "codewords": [[7, 1], [4, 4], [1, 7]]},
+        "mono.json": {"n": 0, "ell": 3, "e": 0, "codewords": [[3]]},
+        "empty.json": {"n": 2, "ell": 0, "e": 0, "codewords": [[0, 0, 0]]},
+        "q5.json": {"n": 4, "ell": 2, "e": 1, "codewords": [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]},
+    }
+    for name, obj in codes.items():
+        (path / name).write_text(json.dumps(obj))
+    (path / "junk.json").write_text("{oops")
+    return path
+
+
+@FUZZ
+@given(argv=search_argv())
+def test_search_argv(argv):
+    assert_contract(argv)
+
+
+@FUZZ
+@given(code=code_file(), e=st.integers(0, 3).map(str), bad_e=RARELY, junk_e=ARG_JUNK)
+def test_verify_code_files(workdir, code, e, bad_e, junk_e):
+    e = junk_e if bad_e else e
+    obj, n = code
+    if n > 7 and e.isdigit():
+        e = "0"
+    path = workdir / "verify.json"
+    path.write_text(json.dumps(obj))
+    assert_contract(["verify", "--code", str(path), "--e", e])
+
+
+@st.composite
+def experiment_config(draw):
+    cfg = {
+        "code_file": draw(st.sampled_from(
+            ["t1.json", "b8.json", "q5.json", "mono.json", "empty.json", "junk.json", "ghost.json"]
+        )),
+        "substitutions": draw(st.integers(0, 3)),
+        "insertions": draw(st.integers(0, 3)),
+        "deletions": draw(st.integers(0, 3)),
+        "trials": draw(st.integers(1, 20)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "exhaustive": draw(st.booleans()),
+        "codeword_selection": draw(st.sampled_from(["uniform", "round-robin"])),
+    }
+    cfg = draw(corrupted(cfg, JSON_JUNK))
+    if draw(RARELY):
+        cfg["noise"] = 0.5
+    if draw(RARELY):
+        cfg["seed"] = draw(HUGE)
+    return [cfg] if draw(RARELY) else cfg
+
+
+@FUZZ
+@given(cfg=experiment_config())
+def test_simulate_configs(workdir, cfg):
+    path = workdir / "experiment.json"
+    path.write_text(json.dumps(cfg))
+    assert_contract(["simulate", "--config", str(path)])

@@ -164,6 +164,11 @@ class TestOptionsAndBudgets:
                 SearchProblem(SimplexSpace(2, 7), 2, point_budget=10)
             )
 
+    def test_point_budget_counts_coordinates(self):
+        # A space with ell = 0 has one point, but that point has n+1 coordinates.
+        with pytest.raises(BudgetExceededError, match="coordinates, over the point budget"):
+            enumerate_perfect_codes(SearchProblem(SimplexSpace(10**9, 0), 0, point_budget=10))
+
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError, match="node budget"):
             enumerate_perfect_codes(

@@ -84,6 +84,11 @@ class TestSpace:
         with pytest.raises(OverflowError):
             SimplexSpace(40, 40)
 
+    def test_size_overflow_detected_without_counting(self):
+        # C(2*10**30, 10**30) would take forever to compute exactly.
+        with pytest.raises(OverflowError):
+            SimplexSpace(10**30, 10**30)
+
 
 class TestDistance:
     def test_codeword_pair(self):
