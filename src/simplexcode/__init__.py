@@ -53,7 +53,6 @@ from .simplex import (
     format_point,
     make_point,
     neighbors,
-    parse_point,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "make_point",
     "min_distance",
     "neighbors",
-    "parse_point",
     "predicted_perfect_count",
     "run_experiment",
     "save_code",

@@ -21,8 +21,11 @@ substream and the outcome of a trial does not depend on the others.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,7 +33,8 @@ from .codes import Code
 from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import Point
 
-# Exhaustive pattern enumeration refuses to start above this many patterns.
+# Exhaustive mode refuses to start above this many patterns, or this many
+# event steps (events times codewords), whichever it would exceed.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
 
 _SELECTIONS = ("uniform", "round-robin")
@@ -70,12 +74,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _events(cfg: ChannelConfig) -> tuple[str, ...]:
+def _events(cfg: ChannelConfig) -> Iterator[str]:
     """Event kinds in channel order: substitutions, deletions, insertions."""
-    return (
-        ("substitution",) * cfg.substitutions
-        + ("deletion",) * cfg.deletions
-        + ("insertion",) * cfg.insertions
+    return chain(
+        repeat("substitution", cfg.substitutions),
+        repeat("deletion", cfg.deletions),
+        repeat("insertion", cfg.insertions),
     )
 
 
@@ -105,11 +109,16 @@ def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
     return out
 
 
-def _checked_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
-    """count_noise_patterns, rejecting events that cannot act on the sequence."""
+def _check_events(length: int, cfg: ChannelConfig, n: int) -> None:
+    """Reject events that cannot act on a sequence of this length over n+1 symbols."""
     if cfg.substitutions and n < 1:
         raise ValueError("substitution needs an alphabet with at least 2 symbols")
-    return count_noise_patterns(length, cfg, n)
+    if cfg.deletions > length:
+        raise ValueError(
+            f"cannot delete {cfg.deletions} symbols from a sequence of length {length}"
+        )
+    if cfg.substitutions and length == 0:
+        raise ValueError("cannot substitute into an empty sequence")
 
 
 def _sample(counts: Point, cfg: ChannelConfig, rng: np.random.Generator) -> Point:
@@ -138,7 +147,7 @@ def transmit(counts, cfg: ChannelConfig, trial: int = 0) -> Point:
     sent = tuple(counts)
     if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
         raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
-    _checked_patterns(sum(sent), cfg, len(sent) - 1)
+    _check_events(sum(sent), cfg, len(sent) - 1)
     return _sample(sent, cfg, _trial_rng(cfg.seed, trial))
 
 
@@ -257,7 +266,7 @@ def run_experiment(
         raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _checked_patterns(code.space.ell, cfg, code.space.n)
+    _check_events(code.space.ell, cfg, code.space.n)
     words = code.codewords
     outcomes: Counter = Counter()
     for t in range(trials):
@@ -287,12 +296,7 @@ def _tally(outcomes: Counter, *, exhaustive: bool) -> ExperimentStats:
 
 def count_noise_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
     """Number of position-level noise patterns exhaustive mode will visit."""
-    if cfg.deletions > length:
-        raise ValueError(
-            f"cannot delete {cfg.deletions} symbols from a sequence of length {length}"
-        )
-    if cfg.substitutions and length == 0:
-        raise ValueError("cannot substitute into an empty sequence")
+    _check_events(length, cfg, n)
     total = (length * n) ** cfg.substitutions
     size = length
     for _ in range(cfg.deletions):
@@ -304,11 +308,30 @@ def count_noise_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
     return total
 
 
+def _patterns_log2(length: int, cfg: ChannelConfig, n: int) -> float:
+    """log2 of count_noise_patterns, in floating point, without forming the count."""
+    kept, ins = length - cfg.deletions, cfg.insertions
+    substitutions = cfg.substitutions * math.log(max(length * n, 1))
+    deletions = math.lgamma(length + 1) - math.lgamma(kept + 1)
+    insertions = ins * math.log(n + 1) + math.lgamma(kept + ins + 1) - math.lgamma(kept + 1)
+    return (substitutions + deletions + insertions) / math.log(2)
+
+
 def _run_exhaustive(code: Code, cfg: ChannelConfig) -> ExperimentStats:
-    total = _checked_patterns(code.space.ell, cfg, code.space.n) * len(code.codewords)
-    if total > EXHAUSTIVE_PATTERN_BUDGET:
-        # str() refuses integers of more than 4,300 digits.
-        shown = total if total < 10**100 else f"over 2^{total.bit_length() - 1}"
+    length, n, words = code.space.ell, code.space.n, len(code.codewords)
+    _check_events(length, cfg, n)
+    # Each event is one step per codeword whatever the pattern count, and
+    # (length*n)**substitutions may be too big to form: both are bounded first.
+    steps = (cfg.substitutions + cfg.deletions + cfg.insertions) * words
+    if steps > EXHAUSTIVE_PATTERN_BUDGET:
+        raise BudgetExceededError(
+            f"exhaustive mode would run {steps} event steps, "
+            f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
+        )
+    bits = _patterns_log2(length, cfg, n) + math.log2(words)
+    total = count_noise_patterns(length, cfg, n) * words if bits < 64 else None
+    if total is None or total > EXHAUSTIVE_PATTERN_BUDGET:
+        shown = f"over 2^{int(bits) - 1}" if total is None else total
         raise BudgetExceededError(
             f"exhaustive mode would enumerate {shown} patterns, "
             f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"

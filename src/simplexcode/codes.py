@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 from .errors import AmbiguousDecodeError
 from .simplex import (
     Point,
     SimplexSpace,
-    ball,
+    ball_ids,
     distance,
-    enumerate_space,
     format_point,
     make_point,
+    point_at,
+    point_id,
 )
 
 
@@ -173,22 +174,24 @@ class PerfectnessResult:
 def is_perfect(code: Code, e: int) -> PerfectnessResult:
     """Check that radius-e balls around the codewords partition the space.
 
-    On failure the result carries a witness: a point claimed by two
-    codewords, or the first uncovered point in enumeration order.
+    On failure the result carries a witness. Codewords are taken in
+    canonical order; the first whose ball meets an earlier ball gives the
+    double-cover witness (p, earlier codeword, that codeword), where p is
+    the lowest-id point of its ball that an earlier ball covers. Otherwise
+    the witness is the first uncovered point in enumeration order.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    owner: dict[Point, Point] = {}
+    owner: dict[int, Point] = {}
     for c in code.codewords:
-        for p in ball(c, e):
-            prev = owner.get(p)
+        for j in ball_ids(c, e, point_id(c)):
+            prev = owner.get(j)
             if prev is not None:
-                return PerfectnessResult(False, double_covered=(p, prev, c))
-            owner[p] = c
+                return PerfectnessResult(False, double_covered=(point_at(code.space, j), prev, c))
+            owner[j] = c
     if len(owner) != code.space.size():
-        for p in enumerate_space(code.space):
-            if p not in owner:
-                return PerfectnessResult(False, uncovered=p)
+        j = next(j for j in count() if j not in owner)
+        return PerfectnessResult(False, uncovered=point_at(code.space, j))
     return PerfectnessResult(True)
 
 

@@ -26,7 +26,7 @@ from itertools import permutations
 
 from .codes import Code, count_binary_perfect, is_perfect
 from .errors import BudgetExceededError
-from .simplex import Point, SimplexSpace, ball, enumerate_space
+from .simplex import Point, SimplexSpace, ball_ids, enumerate_space
 
 DEFAULT_POINT_BUDGET = 50_000
 
@@ -97,13 +97,6 @@ class SearchReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _cover_matrix(space: SimplexSpace, e: int) -> tuple[list[Point], list[tuple[int, ...]]]:
-    points = list(enumerate_space(space))
-    index = {p: i for i, p in enumerate(points)}
-    balls = [tuple(sorted(index[q] for q in ball(p, e))) for p in points]
-    return points, balls
-
-
 def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budget: int):
     """Partitions of the points into two or more balls, and the node count.
 
@@ -172,7 +165,8 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
             f"{problem.point_budget}"
         )
     t0 = time.perf_counter()
-    points, balls = _cover_matrix(space, e)
+    points = list(enumerate_space(space))
+    balls = [tuple(ball_ids(p, e, i)) for i, p in enumerate(points)]
     raw, nodes = _exact_covers(
         balls, max_solutions=problem.max_solutions, node_budget=problem.node_budget
     )
@@ -305,10 +299,15 @@ def verify_theorem_sweep(
 
     Cells whose space exceeds the point budget are marked skipped, never
     silently dropped: a nonexistence confirmation is only as good as the
-    range it actually covered.
+    range it actually covered. A grid of more cells than the point budget,
+    or than DEFAULT_POINT_BUDGET if that is larger, is refused before any
+    cell is visited.
     """
     if n_max < 1 or ell_max < 1 or e_max < 1:
         raise ValueError("sweep bounds must all be >= 1")
+    grid, limit = n_max * ell_max * e_max, max(point_budget, DEFAULT_POINT_BUDGET)
+    if grid > limit:
+        raise BudgetExceededError(f"sweep grid has {grid} cells, over the limit of {limit}")
     cells = []
     for n in range(1, n_max + 1):
         for ell in range(1, ell_max + 1):

@@ -4,11 +4,16 @@ A point of the simplex is an (n+1)-tuple of nonnegative integers summing to
 ell: the multiplicity vector of a multiset of cardinality ell over an
 alphabet of n+1 symbols. The metric is half the L1 distance, which is
 integer-valued here because coordinate sums are equal.
+
+Points are numbered by their position in enumeration order (point_id,
+point_at), and ball_ids, which lists a ball as ascending ids, is the one
+place that decides ball membership.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -44,9 +49,6 @@ class SimplexSpace:
     def size(self) -> int:
         """Number of points: C(n+ell, ell)."""
         return math.comb(self.n + self.ell, self.ell)
-
-    def points(self) -> Iterator[Point]:
-        return enumerate_space(self)
 
     def __contains__(self, coords) -> bool:
         t = tuple(coords)
@@ -104,85 +106,97 @@ def enumerate_space(space: SimplexSpace) -> Iterator[Point]:
         x[i + 1] = rest
 
 
-def neighbors(x: Point) -> set[Point]:
-    """All points at distance exactly 1 from x.
+def point_id(x: Point) -> int:
+    """Position of x in enumeration order, from 0.
 
-    A neighbor adds 1 to one coordinate and subtracts 1 from another, so a
-    coordinate can only donate if it is positive. Interior points of a
-    two-dimensional simplex have six neighbors (the hexagonal grid);
-    boundary points have fewer.
+    The points before x that first differ from it at coordinate i < n are
+    larger there, so they leave less than x's mass R to the coordinates
+    after i: C(R-1+n-i, n-i) points.
     """
-    out = set()
-    for j, c in enumerate(x):
-        if c == 0:
-            continue
-        for i in range(len(x)):
-            if i == j:
-                continue
-            y = list(x)
-            y[j] -= 1
-            y[i] += 1
-            out.add(tuple(y))
+    n, rest, out = len(x) - 1, sum(x), 0
+    for i in range(n):
+        rest -= x[i]
+        out += math.comb(rest - 1 + n - i, n - i)  # 0 once rest = 0
     return out
 
 
-def ball(x: Point, e: int) -> set[Point]:
-    """All points within distance e of x: the decoding region of x.
+def point_at(space: SimplexSpace, j: int) -> Point:
+    """The point with id j, the inverse of point_id.
 
-    Grown by breadth-first expansion over neighbors, so the cost is
-    proportional to the ball itself rather than the whole space. Near the
-    simplex boundary the ball is clipped automatically because neighbors
-    never leave the simplex.
+    Coordinate i leaves to the later coordinates the largest mass m whose
+    C(m-1+n-i, n-i) earlier points do not pass j: one binary search each.
+    """
+    if not 0 <= j < space.size():
+        raise ValueError(f"id must be in [0, {space.size()}), got {j}")
+    n, rest, out = space.n, space.ell, []
+    for k in range(n, 0, -1):
+        m = bisect_right(range(rest + 1), j, key=lambda r: math.comb(r - 1 + k, k)) - 1
+        j -= math.comb(m - 1 + k, k)
+        out.append(rest - m)
+        rest = m
+    return tuple(out) + (rest,)
+
+
+def ball_ids(x: Point, e: int, x_id: int) -> Iterator[int]:
+    """Ids of the points within distance e of x, ascending; x_id is point_id(x).
+
+    y is in the ball when the mass it adds to x (pos) and the mass it
+    removes (neg) are at most e. The walk fixes y left to right, each coordinate from its
+    largest admissible value down; every branch ends in a point of the ball.
+    A branch ends at once when no mass is left or pos = neg = e (the rest of
+    y is x's); while pos = e, y is 0 wherever x is, so it jumps past x's zeros.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    seen = {x}
-    frontier = {x}
-    for _ in range(e):
-        frontier = {y for p in frontier for y in neighbors(p)} - seen
-        if not frontier:
-            break
-        seen |= frontier
-    return seen
+    if e == 0:
+        yield x_id
+        return
+    n = len(x) - 1
+    # x_suf[i]: x_id's share from coordinates i..; nonzero[i]: first j >= i with x[j] > 0, or n.
+    x_suf, nonzero, mass = [0] * (n + 1), [n] * (n + 1), x[n]
+    for i in range(n - 1, -1, -1):
+        x_suf[i] = x_suf[i + 1] + math.comb(mass - 1 + n - i, n - i)
+        nonzero[i] = i if x[i] else nonzero[i + 1]
+        mass += x[i]
+    stack = [(0, mass, 0, 0, 0)]  # (coordinate, mass left, pos, neg, id so far)
+    while stack:
+        i, rest, pos, neg, acc = stack.pop()
+        if pos == neg == e:
+            yield acc + x_suf[i]
+        elif rest == 0 or i == n:
+            yield acc
+        elif pos == e and not x[i]:
+            j = nonzero[i]
+            skipped = math.comb(rest + n - i, n - i) - math.comb(rest + n - j, n - j)
+            stack.append((j, rest, pos, neg, acc + skipped))
+        else:
+            c, k = x[i], n - i
+            lo, hi = max(0, c - e + neg), min(rest, c + e - pos)
+            if k == 1:  # only the last coordinate follows: the ids are consecutive
+                yield from range(acc + rest - hi, acc + rest - lo + 1)
+                continue
+            for v in range(lo, hi + 1):
+                stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
+                              acc + math.comb(rest - v - 1 + k, k)))
+
+
+def ball(x: Point, e: int) -> set[Point]:
+    """All points within distance e of x: the decoding region of x."""
+    space = SimplexSpace(len(x) - 1, sum(x))
+    return {point_at(space, j) for j in ball_ids(x, e, point_id(x))}
+
+
+def neighbors(x: Point) -> set[Point]:
+    """All points at distance exactly 1 from x (six for interior points when n = 2)."""
+    return ball(x, 1) - {x}
 
 
 def ball_size(x: Point, e: int) -> int:
-    """|ball(x, e)|, counted by dynamic programming without materializing the set.
-
-    Counts offset vectors s with x+s componentwise nonnegative, sum(s) = 0
-    and total negative mass at most e. State per coordinate: (net offset so
-    far, negative mass spent so far), both bounded by e.
-    """
-    if e < 0:
-        raise ValueError(f"radius must be >= 0, got {e}")
-    states = {(0, 0): 1}
-    for c in x:
-        nxt: dict[tuple[int, int], int] = {}
-        for (net, neg), ways in states.items():
-            for s in range(-min(c, e), e + 1):
-                neg2 = neg - s if s < 0 else neg
-                if neg2 > e:
-                    continue
-                net2 = net + s
-                if net2 < -e or net2 + neg2 > e:
-                    continue
-                key = (net2, neg2)
-                nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    return sum(w for (net, _), w in states.items() if net == 0)
+    """|ball(x, e)|, counted without building the points."""
+    return sum(1 for _ in ball_ids(x, e, point_id(x)))
 
 
 def format_point(x: Point) -> str:
     """Text form used in CLI output and certificates, e.g. [5,0,2]."""
     return "[" + ",".join(str(c) for c in x) + "]"
 
-
-def parse_point(text: str) -> Point:
-    """Inverse of format_point; accepts surrounding whitespace."""
-    t = text.strip()
-    if not (t.startswith("[") and t.endswith("]")):
-        raise ValueError(f"point must look like [a,b,c], got {text!r}")
-    inner = t[1:-1].strip()
-    if not inner:
-        raise ValueError("point needs at least one coordinate")
-    return tuple(int(part) for part in inner.split(","))

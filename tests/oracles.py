@@ -3,6 +3,9 @@
 Everything here recomputes results from first principles (filtering the
 enumerated space, unpruned backtracking) and deliberately avoids the
 package's own neighbor/ball/decoder machinery, so agreement is meaningful.
+neighbors and ball are the breadth-first ball that the package used before
+the id walk (simplex.ball_ids) replaced it, kept unchanged as a second ball
+oracle; it costs about n^2 per ball point, so keep it to small alphabets.
 _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
 exact-cover oracle. _noisy_variants is the position-level noise enumerator
@@ -21,6 +24,7 @@ from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
     ExperimentStats,
+    Point,
     SimplexSpace,
     decode_received,
     enumerate_space,
@@ -40,6 +44,48 @@ def bf_neighbors(space: SimplexSpace, x):
 
 def bf_ball(space: SimplexSpace, x, e: int):
     return {y for y in enumerate_space(space) if surplus_distance(x, y) <= e}
+
+
+def neighbors(x: Point) -> set[Point]:
+    """All points at distance exactly 1 from x.
+
+    A neighbor adds 1 to one coordinate and subtracts 1 from another, so a
+    coordinate can only donate if it is positive. Interior points of a
+    two-dimensional simplex have six neighbors (the hexagonal grid);
+    boundary points have fewer.
+    """
+    out = set()
+    for j, c in enumerate(x):
+        if c == 0:
+            continue
+        for i in range(len(x)):
+            if i == j:
+                continue
+            y = list(x)
+            y[j] -= 1
+            y[i] += 1
+            out.add(tuple(y))
+    return out
+
+
+def ball(x: Point, e: int) -> set[Point]:
+    """All points within distance e of x: the decoding region of x.
+
+    Grown by breadth-first expansion over neighbors, so the cost is
+    proportional to the ball itself rather than the whole space. Near the
+    simplex boundary the ball is clipped automatically because neighbors
+    never leave the simplex.
+    """
+    if e < 0:
+        raise ValueError(f"radius must be >= 0, got {e}")
+    seen = {x}
+    frontier = {x}
+    for _ in range(e):
+        frontier = {y for p in frontier for y in neighbors(p)} - seen
+        if not frontier:
+            break
+        seen |= frontier
+    return seen
 
 
 def bf_decode(codewords, y):

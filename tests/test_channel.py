@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from simplexcode import (
     ChannelConfig,
     Code,
     SimplexSpace,
+    channel,
     construct_binary_perfect,
     construct_ternary_perfect,
     count_binary_perfect,
@@ -296,6 +298,36 @@ class TestExhaustiveMode:
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(BudgetExceededError, match=r"over 2\^38\d+ patterns"):
             run_experiment(code, ChannelConfig(substitutions=10_000), trials=1, exhaustive=True)
+
+    def test_event_steps_are_bounded(self, monkeypatch):
+        # On {(1,0),(0,1)} every event count gives 2 patterns; the work is the events.
+        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 10)
+        code = Code(SimplexSpace(1, 1), ((1, 0), (0, 1)))
+        stats = run_experiment(code, ChannelConfig(substitutions=5), trials=1, exhaustive=True)
+        assert stats.trials == 2
+        with pytest.raises(BudgetExceededError, match="12 event steps"):
+            run_experiment(code, ChannelConfig(substitutions=6), trials=1, exhaustive=True)
+
+    def test_pattern_bound_matches_the_exact_count(self):
+        for length, n, cfg in [
+            (7, 2, ChannelConfig(substitutions=2, deletions=1, insertions=1)),
+            (60, 1, ChannelConfig(substitutions=5)),
+            (5, 3, ChannelConfig(deletions=5, insertions=4)),
+            (1, 1, ChannelConfig(substitutions=40)),
+        ]:
+            exact = count_noise_patterns(length, cfg, n)
+            assert abs(channel._patterns_log2(length, cfg, n) - math.log2(exact)) < 1e-9
+
+    def test_sampling_mode_does_not_count_patterns(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampling mode counted patterns")
+
+        monkeypatch.setattr(channel, "count_noise_patterns", refuse)
+        code = construct_ternary_perfect(2, 2)
+        stats = run_experiment(code, ChannelConfig(substitutions=3, seed=1), trials=5)
+        assert stats.trials == 5
+        with pytest.raises(ValueError, match="cannot delete 8"):
+            run_experiment(code, ChannelConfig(deletions=8), trials=5)
 
     def test_mixed_noise_keeps_cardinality_bookkeeping(self):
         code = construct_ternary_perfect(1, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,16 @@ class TestSweep:
         assert code == 3
         assert "skipped" in stdout
 
+    def test_oversized_grid_exits_3_before_any_cell(self, capsys):
+        start = time.process_time()
+        code, stdout, stderr = run(
+            capsys, "sweep", "--n-max", "1000000000", "--ell-max", "1", "--e-max", "1"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert stdout == ""
+        assert "sweep grid has 1000000000 cells" in stderr
+
 
 class TestSimulate:
     def write_code(self, capsys, tmp_path):
@@ -282,6 +293,26 @@ class TestSimulate:
         }))
         code, _, _ = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("codewords", [
+        [[5, 0, 2], [2, 5, 0], [0, 2, 5]],  # the ternary e=2 code
+        [[1, 0], [0, 1]],  # binary, ell = 1: one pattern per event
+    ], ids=["ternary-e2", "binary-ell1"])
+    def test_oversized_event_count_exits_3_at_once(self, tmp_path, capsys, codewords):
+        (tmp_path / "code.json").write_text(json.dumps({
+            "n": len(codewords[0]) - 1, "ell": sum(codewords[0]), "e": None,
+            "codewords": codewords,
+        }))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "code.json", "substitutions": 10**9, "exhaustive": True,
+        }))
+        start = time.process_time()
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert stdout == ""
+        assert "over the budget" in stderr
 
     def test_byte_identical_output(self, tmp_path, capsys):
         self.write_code(capsys, tmp_path)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bf_decode
+from oracles import bf_ball, bf_decode
 from simplexcode import (
     AmbiguousDecodeError,
     Code,
@@ -191,6 +193,61 @@ class TestIsPerfect:
         code = construct_ternary_perfect(2, 2)
         assert not is_perfect(code, 1)
         assert not is_perfect(code, 3)
+
+
+def pinned_witness(code, e):
+    """The witness is_perfect must report, recomputed from brute-force balls.
+
+    Codewords in canonical order; the first whose ball meets an earlier
+    ball names the lowest-id point it shares with them. Without overlaps,
+    the first point in enumeration order outside every ball.
+    """
+    order = list(enumerate_space(code.space))
+    owner = {}
+    for c in code.codewords:
+        ball = bf_ball(code.space, c, e)
+        shared = [p for p in order if p in ball and p in owner]
+        if shared:
+            return "double", (shared[0], owner[shared[0]], c)
+        owner.update(dict.fromkeys(ball, c))
+    missing = [p for p in order if p not in owner]
+    return ("uncovered", missing[0]) if missing else ("perfect", None)
+
+
+@st.composite
+def codes_and_radii(draw):
+    space = SimplexSpace(draw(st.integers(1, 3)), draw(st.integers(0, 8)))
+    points = list(enumerate_space(space))
+    picks = draw(st.lists(st.sampled_from(points), min_size=1, max_size=6, unique=True))
+    return Code(space, tuple(picks)), draw(st.integers(0, 3))
+
+
+class TestWitnessRule:
+    def test_double_cover_names_the_lowest_shared_point(self):
+        # (7,1) and (5,3) share (6,2); (1,7) is never reached.
+        code = Code(SimplexSpace(1, 8), ((7, 1), (5, 3), (1, 7)))
+        assert is_perfect(code, 1).double_covered == ((6, 2), (7, 1), (5, 3))
+        # (4,4)'s ball overlaps (7,1)'s at (6,2) and (5,3): the lower id, (6,2), is named.
+        code = Code(SimplexSpace(1, 8), ((7, 1), (4, 4)))
+        assert is_perfect(code, 2).double_covered == ((6, 2), (7, 1), (4, 4))
+
+    def test_witnesses_in_a_huge_space(self):
+        big = 10**9  # about 5 * 10**17 points
+        space = SimplexSpace(2, big)
+        result = is_perfect(Code(space, ((big, 0, 0), (0, 0, big))), 1)
+        assert result.uncovered == (big - 2, 2, 0)
+        result = is_perfect(Code(space, ((big, 0, 0), (big - 1, 1, 0))), 1)
+        assert result.double_covered == ((big, 0, 0), (big, 0, 0), (big - 1, 1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_radii())
+    def test_witness_follows_the_pinned_rule(self, case):
+        code, e = case
+        result = is_perfect(code, e)
+        kind, witness = pinned_witness(code, e)
+        assert result.perfect == (kind == "perfect")
+        assert result.double_covered == (witness if kind == "double" else None)
+        assert result.uncovered == (witness if kind == "uncovered" else None)
 
 
 class TestDecode:

@@ -280,6 +280,13 @@ class TestSweep:
         assert d["all_agree"] is True
         assert {"n", "ell", "e", "predicted", "found", "agree"} == set(d["cells"][0])
 
+    def test_refuses_grids_larger_than_the_budget(self):
+        limit = DEFAULT_POINT_BUDGET
+        with pytest.raises(BudgetExceededError, match=f"{limit + 1} cells"):
+            verify_theorem_sweep(1, 1, limit + 1, point_budget=10)
+        with pytest.raises(BudgetExceededError, match=f"over the limit of {2 * limit}"):
+            verify_theorem_sweep(10**9, 1, 1, point_budget=2 * limit)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             verify_theorem_sweep(0, 5, 1)

@@ -1,7 +1,8 @@
-"""Geometry of the discrete simplex: points, metric, enumeration, balls."""
+"""Geometry of the discrete simplex: points, metric, enumeration, point ids, balls."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import bf_ball, bf_neighbors, surplus_distance
 from simplexcode import (
     SimplexSpace,
@@ -19,8 +21,8 @@ from simplexcode import (
     format_point,
     make_point,
     neighbors,
-    parse_point,
 )
+from simplexcode.simplex import ball_ids, point_at, point_id
 
 
 @st.composite
@@ -239,12 +241,76 @@ class TestPointText:
     def test_format(self):
         assert format_point((5, 0, 2)) == "[5,0,2]"
 
-    def test_roundtrip(self):
-        for x in enumerate_space(SimplexSpace(2, 5)):
-            assert parse_point(format_point(x)) == x
 
-    def test_rejects_garbage(self):
+def random_point(rng, n, ell):
+    cuts = sorted(rng.randint(0, ell) for _ in range(n))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [ell]))
+
+
+class TestPointIds:
+    def test_ids_follow_enumeration_order(self):
+        for n in range(0, 6):
+            for ell in range(0, 8):
+                space = SimplexSpace(n, ell)
+                for j, x in enumerate(enumerate_space(space)):
+                    assert point_id(x) == j
+                    assert point_at(space, j) == x
+
+    @given(space_with_points(max_n=6, max_ell=40, count=1))
+    def test_point_at_inverts_point_id(self, sp):
+        space, (x,) = sp
+        assert point_at(space, point_id(x)) == x
+
+    def test_huge_spaces(self):
+        # About 5 * 10**17 points for n = 2: ids are exact, no enumeration needed.
+        space = SimplexSpace(2, 10**9)
+        assert point_id((10**9, 0, 0)) == 0
+        assert point_id((0, 0, 10**9)) == space.size() - 1
+        rng = random.Random(3)
+        for n, ell in [(2, 10**9), (3, 10**5), (1, 10**18), (1500, 1), (40, 3)]:
+            space = SimplexSpace(n, ell)
+            for _ in range(20):
+                x = random_point(rng, n, ell)
+                assert point_at(space, point_id(x)) == x
+                j = rng.randrange(space.size())
+                assert point_id(point_at(space, j)) == j
+
+    def test_point_at_rejects_ids_outside_the_space(self):
+        space = SimplexSpace(2, 3)
+        for j in (-1, space.size()):
+            with pytest.raises(ValueError, match="id must be in"):
+                point_at(space, j)
+
+
+def bfs_ids(x, e):
+    """Ascending ids of the replaced breadth-first ball."""
+    return sorted(point_id(y) for y in oracles.ball(x, e))
+
+
+class TestBallIds:
+    @settings(max_examples=300, deadline=None)
+    @given(space_with_points(max_n=5, max_ell=10, count=1), st.integers(0, 4))
+    def test_matches_replaced_breadth_first_ball(self, sp, e):
+        _, (x,) = sp
+        assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_wide_alphabet_centers(self, e):
+        # The breadth-first ball costs about N**2 per ball here, so only a few centers.
+        n = 1200
+        for k in (0, 1, 599, 1199, 1200):
+            x = tuple(int(i == k) for i in range(n + 1))
+            assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+
+    def test_wide_alphabet_with_more_mass(self):
+        # Centers with zeros between nonzero coordinates exercise the jump past x's zeros.
+        rng = random.Random(7)
+        for n, ell in [(30, 2), (20, 3), (12, 5)]:
+            for _ in range(15):
+                x = random_point(rng, n, ell)
+                for e in (1, 2):
+                    assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+
+    def test_negative_radius(self):
         with pytest.raises(ValueError):
-            parse_point("5,0,2")
-        with pytest.raises(ValueError):
-            parse_point("[]")
+            list(ball_ids((3, 2, 2), -1, point_id((3, 2, 2))))
