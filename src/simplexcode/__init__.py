@@ -9,7 +9,6 @@ permutation channel (channel).
 from .channel import (
     ChannelConfig,
     ExperimentStats,
-    count_noise_patterns,
     decode_received,
     run_experiment,
     symmetric_difference,
@@ -80,7 +79,6 @@ __all__ = [
     "construct_binary_perfect",
     "construct_ternary_perfect",
     "count_binary_perfect",
-    "count_noise_patterns",
     "decode",
     "decode_received",
     "distance",

@@ -7,7 +7,9 @@ arrived, so the channel is modelled on count vectors alone: one transition
 function maps a count vector and an event kind to the count vectors a
 single event can lead to, each weighted by the number of position-level
 events that produce it. Sampling draws every event from these weights;
-exhaustive mode pushes exact integer weights through all events.
+exhaustive mode pushes exact integer weights through all events. Both
+modes fill one histogram of (sent, received) count-vector pairs and decode
+each distinct pair once.
 
 The receiver decodes the count vector against the code under the
 symmetric-difference metric: the unhalved L1 distance between count
@@ -21,7 +23,6 @@ substream and the outcome of a trial does not depend on the others.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -33,8 +34,9 @@ from .codes import Code
 from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import Point
 
-# Exhaustive mode refuses to start above this many patterns, or this many
-# event steps (events times codewords), whichever it would exceed.
+# Every run refuses to start above this many event steps (events times
+# codewords, trials or 1); exhaustive mode also refuses above this many
+# patterns, which bounds its integer weights and the `trials` it reports.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
 
 _SELECTIONS = ("uniform", "round-robin")
@@ -109,8 +111,12 @@ def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
     return out
 
 
-def _check_events(length: int, cfg: ChannelConfig, n: int) -> None:
-    """Reject events that cannot act on a sequence of this length over n+1 symbols."""
+def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int) -> None:
+    """Reject events that cannot act on a sequence of this length over n+1
+    symbols, and more event steps over `runs` runs than the budget allows.
+
+    A run without events still costs one step (its decode).
+    """
     if cfg.substitutions and n < 1:
         raise ValueError("substitution needs an alphabet with at least 2 symbols")
     if cfg.deletions > length:
@@ -119,6 +125,34 @@ def _check_events(length: int, cfg: ChannelConfig, n: int) -> None:
         )
     if cfg.substitutions and length == 0:
         raise ValueError("cannot substitute into an empty sequence")
+    steps = max(cfg.substitutions + cfg.deletions + cfg.insertions, 1) * runs
+    if steps > EXHAUSTIVE_PATTERN_BUDGET:
+        raise BudgetExceededError(
+            f"the run would take {steps} event steps, "
+            f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
+        )
+
+
+def _check_patterns(length: int, cfg: ChannelConfig, n: int, words: int) -> None:
+    """Reject exhaustive runs of more noise patterns than the budget.
+
+    The count is `words` times one factor per event in channel order; once
+    _check_events has passed, every factor is >= 1, so the first partial
+    product over the budget decides without forming the whole count.
+    """
+    patterns = 1
+    for factor in chain(
+        (words,),
+        repeat(length * n, cfg.substitutions),
+        range(length, length - cfg.deletions, -1),
+        ((length - cfg.deletions + k) * (n + 1) for k in range(1, cfg.insertions + 1)),
+    ):
+        patterns *= factor
+        if patterns > EXHAUSTIVE_PATTERN_BUDGET:
+            raise BudgetExceededError(
+                "exhaustive mode would enumerate more noise patterns "
+                f"than the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
+            )
 
 
 def _sample(counts: Point, cfg: ChannelConfig, rng: np.random.Generator) -> Point:
@@ -147,7 +181,7 @@ def transmit(counts, cfg: ChannelConfig, trial: int = 0) -> Point:
     sent = tuple(counts)
     if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
         raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
-    _check_events(sum(sent), cfg, len(sent) - 1)
+    _check_events(sum(sent), cfg, len(sent) - 1, 1)
     return _sample(sent, cfg, _trial_rng(cfg.seed, trial))
 
 
@@ -228,14 +262,6 @@ class ExperimentStats:
         }
 
 
-def _decode_outcome(code: Code, sent: Point, received_counts) -> tuple[str, int]:
-    try:
-        decoded, score = decode_received(code, received_counts)
-    except AmbiguousDecodeError as exc:
-        return "ambiguous", exc.score
-    return ("success" if decoded == sent else "error"), score
-
-
 def run_experiment(
     code: Code,
     cfg: ChannelConfig,
@@ -252,99 +278,61 @@ def run_experiment(
 
     Exhaustive mode ignores `trials` and counts every position-level noise
     pattern of the configured weights for every codeword: integer weights
-    are pushed through the events, and each distinct received vector is
-    decoded once and counted once per pattern leading to it. Each pattern
-    is equally likely under sampling, so the exhaustive rates are the exact
-    expectations. success_rate == 1.0 thus proves that no pattern of that
-    weight can fool the decoder.
+    are pushed through the events, and each received vector is counted once
+    per pattern leading to it. Each pattern is equally likely under
+    sampling, so the exhaustive rates are the exact expectations.
+    success_rate == 1.0 thus proves that no pattern of that weight can fool
+    the decoder.
+
+    Either mode decodes each distinct (sent, received) pair once.
     """
     if codeword_selection not in _SELECTIONS:
         raise ValueError(f"codeword_selection must be one of {_SELECTIONS}")
+    if not exhaustive:
+        if not isinstance(trials, int) or isinstance(trials, bool):
+            raise TypeError(f"trials must be an integer, got {trials!r}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+    length, n, words = code.space.ell, code.space.n, code.codewords
+    _check_events(length, cfg, n, len(words) if exhaustive else trials)
+    received: Counter = Counter()
     if exhaustive:
-        return _run_exhaustive(code, cfg)
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise TypeError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_events(code.space.ell, cfg, code.space.n)
-    words = code.codewords
-    outcomes: Counter = Counter()
-    for t in range(trials):
-        rng = _trial_rng(cfg.seed, t)
-        if codeword_selection == "uniform":
-            sent = words[int(rng.integers(len(words)))]
+        _check_patterns(length, cfg, n, len(words))
+        for sent in words:
+            weights: Counter = Counter({sent: 1})
+            for kind in _events(cfg):
+                nxt: Counter = Counter()
+                for counts, weight in weights.items():
+                    for moved, ways in _transitions(counts, kind):
+                        nxt[moved] += weight * ways
+                weights = nxt
+            received.update({(sent, counts): weight for counts, weight in weights.items()})
+    else:
+        for t in range(trials):
+            rng = _trial_rng(cfg.seed, t)
+            if codeword_selection == "uniform":
+                sent = words[int(rng.integers(len(words)))]
+            else:
+                sent = words[t % len(words)]
+            received[sent, _sample(sent, cfg, rng)] += 1
+    successes = ambiguous = errors = score_total = 0
+    for (sent, counts), weight in received.items():
+        try:
+            decoded, score = decode_received(code, counts)
+        except AmbiguousDecodeError as exc:
+            ambiguous += weight
+            score = exc.score
         else:
-            sent = words[t % len(words)]
-        outcomes[_decode_outcome(code, sent, _sample(sent, cfg, rng))] += 1
-    return _tally(outcomes, exhaustive=False)
-
-
-def _tally(outcomes: Counter, *, exhaustive: bool) -> ExperimentStats:
-    """Stats from a Counter that maps (outcome, score) to a number of decodes."""
-    kinds: Counter = Counter()
-    for (kind, _), count in outcomes.items():
-        kinds[kind] += count
+            if decoded == sent:
+                successes += weight
+            else:
+                errors += weight
+        score_total += score * weight
     return ExperimentStats(
-        trials=sum(outcomes.values()),
-        successes=kinds["success"],
-        ambiguous=kinds["ambiguous"],
-        errors=kinds["error"],
-        score_total=sum(score * count for (_, score), count in outcomes.items()),
-        exhaustive=exhaustive,
+        trials=sum(received.values()),
+        successes=successes,
+        ambiguous=ambiguous,
+        errors=errors,
+        score_total=score_total,
+        exhaustive=bool(exhaustive),
     )
-
-
-def count_noise_patterns(length: int, cfg: ChannelConfig, n: int) -> int:
-    """Number of position-level noise patterns exhaustive mode will visit."""
-    _check_events(length, cfg, n)
-    total = (length * n) ** cfg.substitutions
-    size = length
-    for _ in range(cfg.deletions):
-        total *= size
-        size -= 1
-    for _ in range(cfg.insertions):
-        total *= (size + 1) * (n + 1)
-        size += 1
-    return total
-
-
-def _patterns_log2(length: int, cfg: ChannelConfig, n: int) -> float:
-    """log2 of count_noise_patterns, in floating point, without forming the count."""
-    kept, ins = length - cfg.deletions, cfg.insertions
-    substitutions = cfg.substitutions * math.log(max(length * n, 1))
-    deletions = math.lgamma(length + 1) - math.lgamma(kept + 1)
-    insertions = ins * math.log(n + 1) + math.lgamma(kept + ins + 1) - math.lgamma(kept + 1)
-    return (substitutions + deletions + insertions) / math.log(2)
-
-
-def _run_exhaustive(code: Code, cfg: ChannelConfig) -> ExperimentStats:
-    length, n, words = code.space.ell, code.space.n, len(code.codewords)
-    _check_events(length, cfg, n)
-    # Each event is one step per codeword whatever the pattern count, and
-    # (length*n)**substitutions may be too big to form: both are bounded first.
-    steps = (cfg.substitutions + cfg.deletions + cfg.insertions) * words
-    if steps > EXHAUSTIVE_PATTERN_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive mode would run {steps} event steps, "
-            f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
-        )
-    bits = _patterns_log2(length, cfg, n) + math.log2(words)
-    total = count_noise_patterns(length, cfg, n) * words if bits < 64 else None
-    if total is None or total > EXHAUSTIVE_PATTERN_BUDGET:
-        shown = f"over 2^{int(bits) - 1}" if total is None else total
-        raise BudgetExceededError(
-            f"exhaustive mode would enumerate {shown} patterns, "
-            f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
-        )
-    outcomes: Counter = Counter()
-    for sent in code.codewords:
-        weights: Counter = Counter({sent: 1})
-        for kind in _events(cfg):
-            nxt: Counter = Counter()
-            for counts, weight in weights.items():
-                for moved, ways in _transitions(counts, kind):
-                    nxt[moved] += weight * ways
-            weights = nxt
-        for received, weight in weights.items():
-            outcomes[_decode_outcome(code, sent, received)] += weight
-    return _tally(outcomes, exhaustive=True)

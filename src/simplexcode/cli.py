@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
 def _load_experiment_config(path: Path) -> dict:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("experiment config must be a JSON object")

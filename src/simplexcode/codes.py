@@ -257,6 +257,6 @@ def save_code(code: Code, path) -> None:
 def load_code(path) -> Code:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in code file {path}: {exc}") from exc
     return code_from_dict(obj)

@@ -10,7 +10,9 @@ _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
 exact-cover oracle. _noisy_variants is the position-level noise enumerator
 that the channel's exhaustive mode ran before the count-domain model
-replaced it, kept unchanged as the channel oracle.
+replaced it, kept unchanged as the channel oracle. count_noise_patterns is
+the closed-form pattern count that guarded exhaustive runs before the
+channel's early-exit product replaced it, kept as the reference formula.
 """
 
 from __future__ import annotations
@@ -245,6 +247,20 @@ def _noisy_variants(seq: SymbolSequence, subs: int, dels: int, ins: int, n: int)
                 yield from _noisy_variants(seq[:pos] + (sym,) + seq[pos:], 0, 0, ins - 1, n)
     else:
         yield seq
+
+
+def count_noise_patterns(length: int, cfg, n: int) -> int:
+    """Number of position-level noise patterns of cfg's events on a sequence
+    of this length over n+1 symbols (0 when the events cannot act on it)."""
+    total = (length * n) ** cfg.substitutions
+    size = length
+    for _ in range(cfg.deletions):
+        total *= size
+        size -= 1
+    for _ in range(cfg.insertions):
+        total *= (size + 1) * (n + 1)
+        size += 1
+    return total
 
 
 def positional_exhaustive(code, cfg) -> ExperimentStats:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import _noisy_variants, binomial_bounds, positional_exhaustive
+from oracles import _noisy_variants, binomial_bounds, count_noise_patterns, positional_exhaustive
 
 from simplexcode import (
     AmbiguousDecodeError,
@@ -20,7 +20,6 @@ from simplexcode import (
     construct_binary_perfect,
     construct_ternary_perfect,
     count_binary_perfect,
-    count_noise_patterns,
     decode,
     decode_received,
     enumerate_space,
@@ -39,6 +38,17 @@ EXACT_TERNARY_E2 = {
     (3, 0, 0): (6342, 0, 1890, 8232),
     (2, 1, 1): (73206, 0, 13230, 86436),
     (4, 0, 0): (81588, 0, 33660, 115248),
+}
+
+# Sampled outcomes of the benchmark's four sampled configs at 2,000 trials,
+# keyed by (code, substitutions, insertions, deletions, selection, seed):
+# (successes, ambiguous, errors, score_total). A change here is a change of
+# the sampling stream, which must be versioned in README and CHANGES.
+SAMPLED_STREAM = {
+    ("t2", 2, 0, 0, "uniform", 2021): (2000, 0, 0, 5526),
+    ("t2", 3, 0, 0, "uniform", 2022): (1550, 0, 450, 6166),
+    ("t2", 2, 1, 1, "uniform", 2023): (1683, 0, 317, 6002),
+    ("b64", 3, 0, 0, "round-robin", 2024): (2000, 0, 0, 8124),
 }
 
 
@@ -229,6 +239,49 @@ class TestRunExperiment:
             lo, hi = binomial_bounds(trials, getattr(exact, name), exact.trials, _TAIL)
             assert lo <= getattr(sampled, name) <= hi, (name, getattr(sampled, name), lo, hi)
 
+    @pytest.mark.parametrize("key", sorted(SAMPLED_STREAM))
+    def test_sampled_stream_is_pinned(self, key):
+        name, subs, ins, dels, selection, seed = key
+        if name == "t2":
+            code = construct_ternary_perfect(2, 2)
+        else:
+            code = construct_binary_perfect(64, 3)
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=seed)
+        stats = run_experiment(code, cfg, trials=2000, codeword_selection=selection)
+        got = (stats.successes, stats.ambiguous, stats.errors, stats.score_total)
+        assert (stats.trials, got) == (2000, SAMPLED_STREAM[key])
+
+    def test_oversized_runs_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial stream was drawn")
+
+        monkeypatch.setattr(channel, "_trial_rng", refuse)
+        code = construct_ternary_perfect(2, 2)
+        cfg = ChannelConfig(substitutions=10**9, seed=1)
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="event steps"):
+            run_experiment(code, cfg, trials=1)
+        with pytest.raises(BudgetExceededError, match="event steps"):
+            transmit((5, 0, 2), cfg)
+        with pytest.raises(BudgetExceededError, match="event steps"):
+            run_experiment(code, ChannelConfig(seed=1), trials=10**12)
+        assert time.process_time() - start < 1.0
+
+    def test_event_steps_times_trials_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 12)
+        code = construct_ternary_perfect(1, 1)
+        cfg = ChannelConfig(substitutions=2, insertions=1, seed=3)
+        assert run_experiment(code, cfg, trials=4).trials == 4
+        with pytest.raises(BudgetExceededError, match="15 event steps"):
+            run_experiment(code, cfg, trials=5)
+        assert run_experiment(code, ChannelConfig(seed=3), trials=12).trials == 12
+        with pytest.raises(BudgetExceededError, match="13 event steps"):
+            run_experiment(code, ChannelConfig(seed=3), trials=13)
+        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 3)
+        assert sum(transmit((2, 1, 1), cfg)) == 5
+        with pytest.raises(BudgetExceededError, match="4 event steps"):
+            transmit((2, 1, 1), ChannelConfig(substitutions=2, insertions=2))
+
     def test_rates_sum_to_one(self):
         code = construct_ternary_perfect(1, 1)
         cfg = ChannelConfig(substitutions=2, seed=5)
@@ -294,10 +347,12 @@ class TestExhaustiveMode:
             run_experiment(code, ChannelConfig(substitutions=5), trials=1, exhaustive=True)
 
     def test_budget_guard_reports_astronomical_counts(self):
-        # 3 * 14**10000 patterns: a number too long for str().
+        # 3 * 14**10000 patterns: a number too long for str(), never formed.
         code = construct_ternary_perfect(2, 2)
-        with pytest.raises(BudgetExceededError, match=r"over 2\^38\d+ patterns"):
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="patterns"):
             run_experiment(code, ChannelConfig(substitutions=10_000), trials=1, exhaustive=True)
+        assert time.process_time() - start < 1.0
 
     def test_event_steps_are_bounded(self, monkeypatch):
         # On {(1,0),(0,1)} every event count gives 2 patterns; the work is the events.
@@ -308,21 +363,34 @@ class TestExhaustiveMode:
         with pytest.raises(BudgetExceededError, match="12 event steps"):
             run_experiment(code, ChannelConfig(substitutions=6), trials=1, exhaustive=True)
 
-    def test_pattern_bound_matches_the_exact_count(self):
-        for length, n, cfg in [
-            (7, 2, ChannelConfig(substitutions=2, deletions=1, insertions=1)),
-            (60, 1, ChannelConfig(substitutions=5)),
-            (5, 3, ChannelConfig(deletions=5, insertions=4)),
-            (1, 1, ChannelConfig(substitutions=40)),
+    def test_pattern_bound_matches_the_exact_count(self, monkeypatch):
+        # The run needs a budget of max(patterns, event steps): it runs at
+        # exactly that budget and refuses at one less.
+        ternary, binary = construct_ternary_perfect(2, 2), construct_binary_perfect(60, 1, 1)
+        quaternary = Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3)))
+        unit = Code(SimplexSpace(1, 1), ((1, 0), (0, 1)))
+        for code, cfg in [
+            (ternary, ChannelConfig(substitutions=2, deletions=1, insertions=1)),
+            (binary, ChannelConfig(substitutions=5)),
+            (quaternary, ChannelConfig(deletions=5, insertions=4)),
+            (unit, ChannelConfig(substitutions=40)),
         ]:
-            exact = count_noise_patterns(length, cfg, n)
-            assert abs(channel._patterns_log2(length, cfg, n) - math.log2(exact)) < 1e-9
+            words = len(code.codewords)
+            patterns = count_noise_patterns(code.space.ell, cfg, code.space.n) * words
+            steps = (cfg.substitutions + cfg.deletions + cfg.insertions) * words
+            need = max(patterns, steps)
+            monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", need)
+            assert run_experiment(code, cfg, trials=1, exhaustive=True).trials == patterns
+            monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", need - 1)
+            refused = "patterns" if patterns > steps else "event steps"
+            with pytest.raises(BudgetExceededError, match=refused):
+                run_experiment(code, cfg, trials=1, exhaustive=True)
 
     def test_sampling_mode_does_not_count_patterns(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("sampling mode counted patterns")
 
-        monkeypatch.setattr(channel, "count_noise_patterns", refuse)
+        monkeypatch.setattr(channel, "_check_patterns", refuse)
         code = construct_ternary_perfect(2, 2)
         stats = run_experiment(code, ChannelConfig(substitutions=3, seed=1), trials=5)
         assert stats.trials == 5

@@ -107,6 +107,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--code", str(tmp_path / "nope.json"), "--e", "2")
         assert code == 2
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # Deeper than the JSON decoder's recursion limit.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "2")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: invalid JSON in code file")
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("drop_first", [False, True])
     def test_wide_alphabet_code_file(self, tmp_path, capsys, drop_first):
         # 1,201 symbols: more coordinates than the default recursion limit.
@@ -313,6 +323,29 @@ class TestSimulate:
         assert code == 3
         assert stdout == ""
         assert "over the budget" in stderr
+
+    @pytest.mark.parametrize("field,value", [("substitutions", 10**9), ("trials", 10**12)])
+    def test_oversized_sampled_run_exits_3_at_once(self, tmp_path, capsys, field, value):
+        self.write_code(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "c22.json", "substitutions": 1, "trials": 10, "seed": 1, field: value,
+        }))
+        start = time.process_time()
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert stdout == ""
+        assert "event steps" in stderr
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"a": ' * 100_000 + "0" + "}" * 100_000)
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: invalid JSON in config file")
+        assert "Traceback" not in stderr
 
     def test_byte_identical_output(self, tmp_path, capsys):
         self.write_code(capsys, tmp_path)

@@ -2,10 +2,14 @@
 
 Each input starts valid and then has up to two fields replaced by the wrong
 type, a negative or oversized number, or text, and sometimes one field
-dropped. Alphabets reach 1,501 symbols. Work stays bounded: searches pass
-a point budget below 40, experiments run at most 20 trials of at most 3
-events of each kind, and alphabets wider than 8 symbols come with
-ell <= 1 and radius at most 2, so a ball has at most one point per symbol.
+dropped; code files and configs are sometimes JSON nested deeper than the
+decoder's recursion limit. Alphabets reach 1,501 symbols. Work stays
+bounded: searches pass a point budget below 40, alphabets wider than 8
+symbols come with ell <= 1 and radius at most 2, so a ball has at most one
+point per symbol, and experiments run at most 20 trials of at most 3
+events of each kind unless an event or trial count is oversized (above the
+channel's step budget, up to 10^12), which the channel refuses before any
+work.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from simplexcode.channel import EXHAUSTIVE_PATTERN_BUDGET
 from simplexcode.cli import main
 
 FUZZ = settings(
@@ -33,11 +38,17 @@ ARG_JUNK = st.one_of(
     st.integers(-3, -1).map(str),
 )
 # Positive oversized values stay out of the JSON junk: event and trial
-# counts set the amount of work a run does.
+# counts set the amount of work a run does, so only OVERSIZED ones are drawn.
 JSON_JUNK = st.one_of(
     st.integers(-3, -1), st.just(-(10**30)), st.none(), st.booleans(),
     st.floats(allow_nan=False), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
 )
+
+# Event and trial counts the channel's step budget refuses whatever the code.
+OVERSIZED = st.integers(EXHAUSTIVE_PATTERN_BUDGET + 1, 10**12)
+
+# Deeper than the JSON decoder's recursion limit: an array and an object.
+NESTED = st.sampled_from(["[" * 200_000, '{"a": ' * 100_000 + "0" + "}" * 100_000])
 
 # True about one draw in ten (a bare integers(0, 9) == 0 would favour 0).
 RARELY = st.sampled_from([False] * 9 + [True])
@@ -142,14 +153,17 @@ def test_search_argv(argv):
 
 
 @FUZZ
-@given(code=code_file(), e=st.integers(0, 3).map(str), bad_e=RARELY, junk_e=ARG_JUNK)
-def test_verify_code_files(workdir, code, e, bad_e, junk_e):
+@given(
+    code=code_file(), e=st.integers(0, 3).map(str), bad_e=RARELY, junk_e=ARG_JUNK,
+    nest=RARELY, nested=NESTED,
+)
+def test_verify_code_files(workdir, code, e, bad_e, junk_e, nest, nested):
     e = junk_e if bad_e else e
     obj, n = code
     if n > 7 and e.isdigit():
         e = str(min(int(e), 2))
     path = workdir / "verify.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(nested if nest else json.dumps(obj))
     assert_contract(["verify", "--code", str(path), "--e", e])
 
 
@@ -169,6 +183,9 @@ def experiment_config(draw):
     }
     cfg = draw(corrupted(cfg, JSON_JUNK))
     if draw(RARELY):
+        field = draw(st.sampled_from(["substitutions", "insertions", "deletions", "trials"]))
+        cfg[field] = draw(OVERSIZED)
+    if draw(RARELY):
         cfg["noise"] = 0.5
     if draw(RARELY):
         cfg["seed"] = draw(HUGE)
@@ -176,8 +193,8 @@ def experiment_config(draw):
 
 
 @FUZZ
-@given(cfg=experiment_config())
-def test_simulate_configs(workdir, cfg):
+@given(cfg=experiment_config(), nest=RARELY, nested=NESTED)
+def test_simulate_configs(workdir, cfg, nest, nested):
     path = workdir / "experiment.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(nested if nest else json.dumps(cfg))
     assert_contract(["simulate", "--config", str(path)])
