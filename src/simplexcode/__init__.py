@@ -15,12 +15,10 @@ from .channel import (
     transmit,
 )
 from .codes import (
-    BinaryPerfectParams,
     Code,
     PerfectnessResult,
     binary_perfect_params,
     code_from_dict,
-    code_to_dict,
     construct_binary_perfect,
     construct_ternary_perfect,
     count_binary_perfect,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousDecodeError",
-    "BinaryPerfectParams",
     "BudgetExceededError",
     "ChannelConfig",
     "Code",
@@ -75,7 +72,6 @@ __all__ = [
     "binary_perfect_params",
     "canonicalize_code",
     "code_from_dict",
-    "code_to_dict",
     "construct_binary_perfect",
     "construct_ternary_perfect",
     "count_binary_perfect",

@@ -23,7 +23,6 @@ from .simplex import (
     format_point,
     make_point,
     point_at,
-    point_id,
 )
 
 
@@ -184,7 +183,7 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
         raise ValueError(f"radius must be >= 0, got {e}")
     owner: dict[int, Point] = {}
     for c in code.codewords:
-        for j in ball_ids(c, e, point_id(c)):
+        for j in ball_ids(c, e):
             prev = owner.get(j)
             if prev is not None:
                 return PerfectnessResult(False, double_covered=(point_at(code.space, j), prev, c))
@@ -209,15 +208,6 @@ def decode(code: Code, y: Point) -> tuple[Point, int]:
     if len(tied) > 1:
         raise AmbiguousDecodeError(y, tied, best)
     return tied[0], best
-
-
-def code_to_dict(code: Code) -> dict:
-    return {
-        "n": code.space.n,
-        "ell": code.space.ell,
-        "e": code.radius_claim,
-        "codewords": [list(w) for w in code.codewords],
-    }
 
 
 def code_from_dict(obj) -> Code:
@@ -247,7 +237,8 @@ def code_from_dict(obj) -> Code:
 
 def dumps_code(code: Code) -> str:
     """Canonical JSON text of a code: fixed key order, codewords sorted."""
-    return json.dumps(code_to_dict(code)) + "\n"
+    return json.dumps({"n": code.space.n, "ell": code.space.ell, "e": code.radius_claim,
+                       "codewords": [list(w) for w in code.codewords]}) + "\n"
 
 
 def save_code(code: Code, path) -> None:

@@ -9,8 +9,10 @@ is a selection of pairwise-disjoint balls whose union is the whole space.
 The solver is a depth-first exact-cover search over bitmasks of point ids.
 It always branches on the first uncovered point in enumeration order, which
 starts at the (ell, 0, ..., 0) corner where clipped balls leave the fewest
-choices, and tries the balls covering it in center order. Solutions are
-reported in the canonical order induced by the point enumeration.
+choices, and tries the balls whose lowest point it is, in center order.
+Their centers follow from the point's coordinates, so a ball is built only
+when the search first reaches its lowest point. Solutions are reported
+in the canonical order induced by the point enumeration.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -26,7 +28,7 @@ from itertools import permutations
 
 from .codes import Code, count_binary_perfect, is_perfect
 from .errors import BudgetExceededError
-from .simplex import Point, SimplexSpace, ball_ids, enumerate_space
+from .simplex import Point, SimplexSpace, ball_ids, enumerate_space, point_at
 
 DEFAULT_POINT_BUDGET = 50_000
 
@@ -97,24 +99,43 @@ class SearchReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budget: int):
-    """Partitions of the points into two or more balls, and the node count.
+def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
+    """Centers, ascending by id, of the radius-e balls whose lowest point is p.
 
-    Each partition is a tuple of center ids in the order they were chosen.
+    B(c, e) starts at c with m = min(e, ell - c_0) moved onto coordinate 0,
+    taken from the last coordinates first. Undoing it spreads m from p_0 over
+    z..n, z being p's last nonzero coordinate: m = e, or min(e, p_0) at the
+    corner (z = 0). Spreads, cached in spreads, come in enumeration order.
+    """
+    z = len(p) - 1
+    while z and not p[z]:
+        z -= 1
+    m = min(e, p[0]) if z == 0 else e
+    if p[0] < m:
+        return []
+    key = (len(p) - z, m)
+    if key not in spreads:
+        spreads[key] = list(enumerate_space(SimplexSpace(key[0] - 1, m)))
+    head = (p[0] - m,) + p[1:z + 1]
+    return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
+
+
+def _exact_covers(space: SimplexSpace, e: int, *, max_solutions: int, node_budget: int):
+    """Partitions of the space into two or more radius-e balls, and the node count.
+
+    Each partition is a tuple of centers in the order they were chosen.
     The search stops after max_solutions partitions (0 = find them all).
 
-    Ball c is held as its lowest point id low[c] and a bitmask of its
-    points shifted down by low[c]. Once every point below p is covered, a
-    ball that covers p and is disjoint from the covered set has its lowest
-    point at p, so the candidates for the first uncovered point are exactly
-    the live balls starting there. Depth-first, without recursion.
+    Once every point below p is covered, a ball that covers p and is
+    disjoint from the covered set has its lowest point at p, so the
+    candidates for the first uncovered point p are the balls starting
+    there. The first time the search reaches p it builds them, each as
+    (center, bitmask of the ball's point ids shifted down by p, p).
+    Depth-first, without recursion.
     """
-    low = [b[0] for b in balls]
-    masks = [sum(1 << (j - b[0]) for j in b) for b in balls]
-    starting: list[list[int]] = [[] for _ in balls]
-    for c, p in enumerate(low):
-        starting[p].append(c)
-    full = (1 << len(balls)) - 1
+    starting: dict[int, list[tuple[Point, int, int]]] = {}
+    spreads: dict = {}
+    full = (1 << space.size()) - 1
     covered, chosen, stack, sols, nodes = 0, [], [], [], 0
     while True:
         nodes += 1
@@ -122,22 +143,27 @@ def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budg
             raise BudgetExceededError(f"search exceeded node budget of {node_budget}")
         if covered == full:
             if len(chosen) >= 2:
-                sols.append(tuple(chosen))
+                sols.append(tuple(b[0] for b in chosen))
                 if len(sols) == max_solutions:
                     break
         else:
             p = (~covered & (covered + 1)).bit_length() - 1
+            if p not in starting:
+                starting[p] = [
+                    (c, sum(1 << (j - p) for j in ball_ids(c, e)), p)
+                    for c in _centers(point_at(space, p), e, spreads)
+                ]
             rest = covered >> p
-            stack.append(iter([c for c in starting[p] if not masks[c] & rest]))
+            stack.append(iter([b for b in starting[p] if not b[1] & rest]))
         # Backtrack to the deepest level with an untried candidate and take it.
         while stack:
             if len(chosen) == len(stack):
-                c = chosen.pop()
-                covered ^= masks[c] << low[c]
-            c = next(stack[-1], None)
-            if c is not None:
-                chosen.append(c)
-                covered |= masks[c] << low[c]
+                _, mask, p = chosen.pop()
+                covered ^= mask << p
+            b = next(stack[-1], None)
+            if b is not None:
+                chosen.append(b)
+                covered |= b[1] << b[2]
                 break
             stack.pop()
         else:
@@ -165,16 +191,14 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
             f"{problem.point_budget}"
         )
     t0 = time.perf_counter()
-    points = list(enumerate_space(space))
-    balls = [tuple(ball_ids(p, e, i)) for i, p in enumerate(points)]
     raw, nodes = _exact_covers(
-        balls, max_solutions=problem.max_solutions, node_budget=problem.node_budget
+        space, e, max_solutions=problem.max_solutions, node_budget=problem.node_budget
     )
 
     codes = []
     if e >= 1:
         for sol in raw:
-            code = Code(space, tuple(points[c] for c in sol), radius_claim=e)
+            code = Code(space, sol, radius_claim=e)
             if not is_perfect(code, e):
                 raise AssertionError(f"search produced a non-perfect code: {code!r}")
             codes.append(code)

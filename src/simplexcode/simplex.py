@@ -5,9 +5,9 @@ ell: the multiplicity vector of a multiset of cardinality ell over an
 alphabet of n+1 symbols. The metric is half the L1 distance, which is
 integer-valued here because coordinate sums are equal.
 
-Points are numbered by their position in enumeration order (point_id,
-point_at), and ball_ids, which lists a ball as ascending ids, is the one
-place that decides ball membership.
+Points are numbered by their position in enumeration order (point_at maps
+an id back to its point), and ball_ids, which lists a ball as ascending
+ids, is the one place that decides ball membership.
 """
 
 from __future__ import annotations
@@ -106,39 +106,30 @@ def enumerate_space(space: SimplexSpace) -> Iterator[Point]:
         x[i + 1] = rest
 
 
-def point_id(x: Point) -> int:
-    """Position of x in enumeration order, from 0.
-
-    The points before x that first differ from it at coordinate i < n are
-    larger there, so they leave less than x's mass R to the coordinates
-    after i: C(R-1+n-i, n-i) points.
-    """
-    n, rest, out = len(x) - 1, sum(x), 0
-    for i in range(n):
-        rest -= x[i]
-        out += math.comb(rest - 1 + n - i, n - i)  # 0 once rest = 0
-    return out
-
-
 def point_at(space: SimplexSpace, j: int) -> Point:
-    """The point with id j, the inverse of point_id.
+    """The point x at position j of enumeration order, counted from 0.
 
-    Coordinate i leaves to the later coordinates the largest mass m whose
-    C(m-1+n-i, n-i) earlier points do not pass j: one binary search each.
+    The points before x that first differ from it at coordinate i < n leave
+    less than x's mass R to the later coordinates: C(R-1+n-i, n-i) points.
+    So coordinate i leaves them the largest mass m whose C(m-1+n-i, n-i)
+    earlier points do not pass j: a binary search, or m = j when i = n-1.
     """
     if not 0 <= j < space.size():
         raise ValueError(f"id must be in [0, {space.size()}), got {j}")
     n, rest, out = space.n, space.ell, []
     for k in range(n, 0, -1):
-        m = bisect_right(range(rest + 1), j, key=lambda r: math.comb(r - 1 + k, k)) - 1
+        if k == 1:
+            m = j
+        else:
+            m = bisect_right(range(rest + 1), j, key=lambda r: math.comb(r - 1 + k, k)) - 1
         j -= math.comb(m - 1 + k, k)
         out.append(rest - m)
         rest = m
     return tuple(out) + (rest,)
 
 
-def ball_ids(x: Point, e: int, x_id: int) -> Iterator[int]:
-    """Ids of the points within distance e of x, ascending; x_id is point_id(x).
+def ball_ids(x: Point, e: int) -> Iterator[int]:
+    """Ids (enumeration positions) of the points within distance e of x, ascending.
 
     y is in the ball when the mass it adds to x (pos) and the mass it
     removes (neg) are at most e. The walk fixes y left to right, each coordinate from its
@@ -148,11 +139,9 @@ def ball_ids(x: Point, e: int, x_id: int) -> Iterator[int]:
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    if e == 0:
-        yield x_id
-        return
     n = len(x) - 1
-    # x_suf[i]: x_id's share from coordinates i..; nonzero[i]: first j >= i with x[j] > 0, or n.
+    # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
+    # nonzero[i]: first j >= i with x[j] > 0, or n.
     x_suf, nonzero, mass = [0] * (n + 1), [n] * (n + 1), x[n]
     for i in range(n - 1, -1, -1):
         x_suf[i] = x_suf[i + 1] + math.comb(mass - 1 + n - i, n - i)
@@ -183,7 +172,7 @@ def ball_ids(x: Point, e: int, x_id: int) -> Iterator[int]:
 def ball(x: Point, e: int) -> set[Point]:
     """All points within distance e of x: the decoding region of x."""
     space = SimplexSpace(len(x) - 1, sum(x))
-    return {point_at(space, j) for j in ball_ids(x, e, point_id(x))}
+    return {point_at(space, j) for j in ball_ids(x, e)}
 
 
 def neighbors(x: Point) -> set[Point]:
@@ -193,7 +182,7 @@ def neighbors(x: Point) -> set[Point]:
 
 def ball_size(x: Point, e: int) -> int:
     """|ball(x, e)|, counted without building the points."""
-    return sum(1 for _ in ball_ids(x, e, point_id(x)))
+    return sum(1 for _ in ball_ids(x, e))
 
 
 def format_point(x: Point) -> str:

@@ -8,11 +8,16 @@ the id walk (simplex.ball_ids) replaced it, kept unchanged as a second ball
 oracle; it costs about n^2 per ball point, so keep it to small alphabets.
 _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
-exact-cover oracle. _noisy_variants is the position-level noise enumerator
-that the channel's exhaustive mode ran before the count-domain model
-replaced it, kept unchanged as the channel oracle. count_noise_patterns is
-the closed-form pattern count that guarded exhaustive runs before the
-channel's early-exit product replaced it, kept as the reference formula.
+exact-cover oracle. _exact_covers is that bitset solver as it ran over a
+cover matrix of every ball in the space, before the search learned to build
+each ball from its lowest point when it first needs it; kept unchanged, it
+pins the search's choices and node counts. _noisy_variants is the
+position-level noise enumerator that the channel's exhaustive mode ran
+before the count-domain model replaced it, kept unchanged as the channel
+oracle.
+count_noise_patterns is the closed-form pattern count that guarded
+exhaustive runs before the channel's early-exit product replaced it, kept
+as the reference formula.
 """
 
 from __future__ import annotations
@@ -221,6 +226,54 @@ def xc_perfect_codes(space: SimplexSpace, e: int):
         for sol in _ExactCover(balls).search([])
         if len(sol) >= 2
     )
+
+
+def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budget: int):
+    """Partitions of the points into two or more balls, and the node count.
+
+    Each partition is a tuple of center ids in the order they were chosen.
+    The search stops after max_solutions partitions (0 = find them all).
+
+    Ball c is held as its lowest point id low[c] and a bitmask of its
+    points shifted down by low[c]. Once every point below p is covered, a
+    ball that covers p and is disjoint from the covered set has its lowest
+    point at p, so the candidates for the first uncovered point are exactly
+    the live balls starting there. Depth-first, without recursion.
+    """
+    low = [b[0] for b in balls]
+    masks = [sum(1 << (j - b[0]) for j in b) for b in balls]
+    starting: list[list[int]] = [[] for _ in balls]
+    for c, p in enumerate(low):
+        starting[p].append(c)
+    full = (1 << len(balls)) - 1
+    covered, chosen, stack, sols, nodes = 0, [], [], [], 0
+    while True:
+        nodes += 1
+        if node_budget and nodes > node_budget:
+            raise BudgetExceededError(f"search exceeded node budget of {node_budget}")
+        if covered == full:
+            if len(chosen) >= 2:
+                sols.append(tuple(chosen))
+                if len(sols) == max_solutions:
+                    break
+        else:
+            p = (~covered & (covered + 1)).bit_length() - 1
+            rest = covered >> p
+            stack.append(iter([c for c in starting[p] if not masks[c] & rest]))
+        # Backtrack to the deepest level with an untried candidate and take it.
+        while stack:
+            if len(chosen) == len(stack):
+                c = chosen.pop()
+                covered ^= masks[c] << low[c]
+            c = next(stack[-1], None)
+            if c is not None:
+                chosen.append(c)
+                covered |= masks[c] << low[c]
+                break
+            stack.pop()
+        else:
+            break
+    return sols, nodes
 
 
 def _noisy_variants(seq: SymbolSequence, subs: int, dels: int, ins: int, n: int):

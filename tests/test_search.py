@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import bf_perfect_codes, xc_perfect_codes
+from simplexcode import search
 from simplexcode import (
     BudgetExceededError,
     Code,
@@ -19,11 +21,13 @@ from simplexcode import (
     construct_ternary_perfect,
     count_binary_perfect,
     enumerate_perfect_codes,
+    enumerate_space,
     is_perfect,
     predicted_perfect_count,
     verify_theorem_sweep,
 )
-from simplexcode.search import DEFAULT_POINT_BUDGET
+from simplexcode.search import DEFAULT_POINT_BUDGET, _centers
+from simplexcode.simplex import ball_ids
 
 
 def found_sets(report):
@@ -122,6 +126,53 @@ class TestAgainstSecondOracle:
         if nodes > 1:
             with pytest.raises(BudgetExceededError, match="node budget"):
                 enumerate_perfect_codes(SearchProblem(space, e, node_budget=nodes - 1))
+
+
+class TestAgainstCoverMatrix:
+    """The search builds balls as it reaches them; the replaced solver built them all first."""
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(0, 5),
+        ell=st.integers(0, 12),
+        e=st.integers(0, 4),
+        max_solutions=st.sampled_from([0, 1, 2]),
+    )
+    def test_same_choices_and_nodes(self, n, ell, e, max_solutions):
+        space = SimplexSpace(n, ell)
+        points = list(enumerate_space(space))
+        balls = [tuple(ball_ids(p, e)) for p in points]
+        expected, nodes = oracles._exact_covers(
+            balls, max_solutions=max_solutions, node_budget=0
+        )
+        got = search._exact_covers(space, e, max_solutions=max_solutions, node_budget=0)
+        assert got == ([tuple(points[c] for c in sol) for sol in expected], nodes)
+
+    def test_centers_are_the_balls_starting_at_each_point(self):
+        for n in range(0, 6):
+            for ell in range(0, 9):
+                points = list(enumerate_space(SimplexSpace(n, ell)))
+                for e in range(0, 5):
+                    starting: list[list] = [[] for _ in points]
+                    for c in points:
+                        starting[next(ball_ids(c, e))].append(c)
+                    spreads: dict = {}
+                    for p, centers in zip(points, starting):
+                        assert _centers(p, e, spreads) == centers, (p, e)
+
+    @pytest.mark.parametrize("n,ell,e", [(4, 20, 4), (100, 2, 1)])
+    def test_builds_few_of_the_balls(self, monkeypatch, n, ell, e):
+        # A cover matrix would build all of them: 10,626 and 5,151 balls here.
+        built = []
+
+        def counting(x, r):
+            built.append(x)
+            return ball_ids(x, r)
+
+        monkeypatch.setattr(search, "ball_ids", counting)
+        space = SimplexSpace(n, ell)
+        assert enumerate_perfect_codes(SearchProblem(space, e)).solution_count == 0
+        assert 0 < len(built) < space.size() / 10
 
 
 class TestDeepSearch:
@@ -252,10 +303,10 @@ class TestPredictions:
 
 class TestSweep:
     def test_small_grid_agrees(self):
-        report = verify_theorem_sweep(3, 8, 2)
+        report = verify_theorem_sweep(5, 12, 3)
         assert report.all_agree
         assert not report.any_skipped
-        assert len(report.cells) == 3 * 8 * 2
+        assert len(report.cells) == 5 * 12 * 3
 
     def test_tsv_layout(self):
         report = verify_theorem_sweep(1, 4, 1)

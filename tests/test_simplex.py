@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -22,7 +23,7 @@ from simplexcode import (
     make_point,
     neighbors,
 )
-from simplexcode.simplex import ball_ids, point_at, point_id
+from simplexcode.simplex import ball_ids, point_at
 
 
 @st.composite
@@ -247,33 +248,45 @@ def random_point(rng, n, ell):
     return tuple(b - a for a, b in zip([0] + cuts, cuts + [ell]))
 
 
+@lru_cache(maxsize=None)
+def enumeration_ids(n, ell):
+    """Point -> position in enumeration order: ids from an independent source."""
+    return {x: j for j, x in enumerate(enumerate_space(SimplexSpace(n, ell)))}
+
+
+def walk_id(x):
+    """x's id from the ball walk: the only id in its radius-0 ball."""
+    (j,) = ball_ids(x, 0)
+    return j
+
+
 class TestPointIds:
     def test_ids_follow_enumeration_order(self):
         for n in range(0, 6):
             for ell in range(0, 8):
                 space = SimplexSpace(n, ell)
                 for j, x in enumerate(enumerate_space(space)):
-                    assert point_id(x) == j
+                    assert list(ball_ids(x, 0)) == [j]
                     assert point_at(space, j) == x
 
     @given(space_with_points(max_n=6, max_ell=40, count=1))
-    def test_point_at_inverts_point_id(self, sp):
+    def test_point_at_inverts_the_walk_id(self, sp):
         space, (x,) = sp
-        assert point_at(space, point_id(x)) == x
+        assert point_at(space, walk_id(x)) == x
 
     def test_huge_spaces(self):
         # About 5 * 10**17 points for n = 2: ids are exact, no enumeration needed.
         space = SimplexSpace(2, 10**9)
-        assert point_id((10**9, 0, 0)) == 0
-        assert point_id((0, 0, 10**9)) == space.size() - 1
+        assert walk_id((10**9, 0, 0)) == 0
+        assert walk_id((0, 0, 10**9)) == space.size() - 1
         rng = random.Random(3)
         for n, ell in [(2, 10**9), (3, 10**5), (1, 10**18), (1500, 1), (40, 3)]:
             space = SimplexSpace(n, ell)
             for _ in range(20):
                 x = random_point(rng, n, ell)
-                assert point_at(space, point_id(x)) == x
+                assert point_at(space, walk_id(x)) == x
                 j = rng.randrange(space.size())
-                assert point_id(point_at(space, j)) == j
+                assert walk_id(point_at(space, j)) == j
 
     def test_point_at_rejects_ids_outside_the_space(self):
         space = SimplexSpace(2, 3)
@@ -283,8 +296,9 @@ class TestPointIds:
 
 
 def bfs_ids(x, e):
-    """Ascending ids of the replaced breadth-first ball."""
-    return sorted(point_id(y) for y in oracles.ball(x, e))
+    """Ascending enumeration positions of the replaced breadth-first ball."""
+    index = enumeration_ids(len(x) - 1, sum(x))
+    return sorted(index[y] for y in oracles.ball(x, e))
 
 
 class TestBallIds:
@@ -292,7 +306,7 @@ class TestBallIds:
     @given(space_with_points(max_n=5, max_ell=10, count=1), st.integers(0, 4))
     def test_matches_replaced_breadth_first_ball(self, sp, e):
         _, (x,) = sp
-        assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+        assert list(ball_ids(x, e)) == bfs_ids(x, e)
 
     @pytest.mark.parametrize("e", [0, 1])
     def test_wide_alphabet_centers(self, e):
@@ -300,7 +314,7 @@ class TestBallIds:
         n = 1200
         for k in (0, 1, 599, 1199, 1200):
             x = tuple(int(i == k) for i in range(n + 1))
-            assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+            assert list(ball_ids(x, e)) == bfs_ids(x, e)
 
     def test_wide_alphabet_with_more_mass(self):
         # Centers with zeros between nonzero coordinates exercise the jump past x's zeros.
@@ -309,8 +323,8 @@ class TestBallIds:
             for _ in range(15):
                 x = random_point(rng, n, ell)
                 for e in (1, 2):
-                    assert list(ball_ids(x, e, point_id(x))) == bfs_ids(x, e)
+                    assert list(ball_ids(x, e)) == bfs_ids(x, e)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            list(ball_ids((3, 2, 2), -1, point_id((3, 2, 2))))
+            list(ball_ids((3, 2, 2), -1))
