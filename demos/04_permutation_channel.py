@@ -26,7 +26,7 @@ print("sent", format_point(sent), "-> 2 substitutions + permutation -> received"
       format_point(counts))
 print("decoded", format_point(decoded), f"(score {score}, correct: {decoded == sent})\n")
 
-# Monte Carlo over per-trial substreams: reproducible from the seed alone.
+# Monte Carlo over one stream per run: reproducible from the seed alone.
 for noise in (
     ChannelConfig(seed=7),
     ChannelConfig(substitutions=2, seed=7),

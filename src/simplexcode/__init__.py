@@ -17,7 +17,6 @@ from .channel import (
 from .codes import (
     Code,
     PerfectnessResult,
-    binary_perfect_params,
     code_from_dict,
     construct_binary_perfect,
     construct_ternary_perfect,
@@ -69,7 +68,6 @@ __all__ = [
     "SweepReport",
     "ball",
     "ball_size",
-    "binary_perfect_params",
     "canonicalize_code",
     "code_from_dict",
     "construct_binary_perfect",

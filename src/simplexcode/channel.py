@@ -16,9 +16,8 @@ symmetric-difference metric: the unhalved L1 distance between count
 vectors, which stays meaningful when insertions or deletions change the
 cardinality and the received vector leaves the simplex.
 
-Randomness comes from the Philox4x64 counter-based generator keyed by
-(seed, trial index), so every trial is an independent, reproducible
-substream and the outcome of a trial does not depend on the others.
+Randomness comes from one Philox4x64 stream keyed by the seed: a run
+draws its trials from it in order, so a run is reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -70,10 +69,9 @@ class ChannelConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Philox4x64 stream keyed by (seed, trial); independent per trial."""
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _rng(seed: int) -> np.random.Generator:
+    """The Philox4x64 stream keyed by the seed; one per run."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _events(cfg: ChannelConfig) -> Iterator[str]:
@@ -172,17 +170,19 @@ def _sample(counts: Point, cfg: ChannelConfig, rng: np.random.Generator) -> Poin
     return counts
 
 
-def transmit(counts, cfg: ChannelConfig, trial: int = 0) -> Point:
+def transmit(counts, cfg: ChannelConfig) -> Point:
     """Push a count vector through the noisy permutation channel.
 
     `counts` has one entry per alphabet symbol; the result is the received
-    count vector, fully determined by (cfg.seed, trial).
+    count vector, fully determined by cfg.seed. A run's stream starts the
+    same way: a round-robin run's first trial receives
+    transmit(code.codewords[0], cfg).
     """
     sent = tuple(counts)
     if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
         raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
     _check_events(sum(sent), cfg, len(sent) - 1, 1)
-    return _sample(sent, cfg, _trial_rng(cfg.seed, trial))
+    return _sample(sent, cfg, _rng(cfg.seed))
 
 
 def symmetric_difference(a, b) -> int:
@@ -272,9 +272,9 @@ def run_experiment(
 ) -> ExperimentStats:
     """Send codewords through the channel, decode, and tally the outcomes.
 
-    Sampling mode runs `trials` independent trials; trial t draws its
-    codeword (uniform or round-robin) and its noise from the (seed, t)
-    substream, so results do not depend on the order trials run in.
+    Sampling mode runs `trials` independent trials in order from one stream
+    keyed by the seed; each draws its codeword (uniform, or round-robin
+    takes the next one) and then its noise.
 
     Exhaustive mode ignores `trials` and counts every position-level noise
     pattern of the configured weights for every codeword: integer weights
@@ -308,8 +308,8 @@ def run_experiment(
                 weights = nxt
             received.update({(sent, counts): weight for counts, weight in weights.items()})
     else:
+        rng = _rng(cfg.seed)
         for t in range(trials):
-            rng = _trial_rng(cfg.seed, t)
             if codeword_selection == "uniform":
                 sent = words[int(rng.integers(len(words)))]
             else:

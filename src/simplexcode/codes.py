@@ -64,60 +64,41 @@ class Code:
         return f"<Code n={self.space.n} ell={self.space.ell} e={self.radius_claim} {words}>"
 
 
-@dataclass(frozen=True)
-class BinaryPerfectParams:
-    """Division parameters behind the binary-alphabet classification.
-
-    q and r are the quotient and remainder of ell by the codeword spacing
-    2e+1; s = min(r, e) is the largest offset the first codeword can have
-    from the (ell, 0) corner; count = min(r+1, 2e+1-r) is the number of
-    distinct perfect codes with these parameters.
-    """
-
-    ell: int
-    e: int
-    q: int
-    r: int
-    s: int
-    count: int
-
-
-def binary_perfect_params(ell: int, e: int) -> BinaryPerfectParams:
-    if e < 1:
-        raise ValueError(f"e must be >= 1, got {e}")
-    if ell < 2 * e + 1:
-        raise ValueError(f"ell must be >= 2e+1 = {2 * e + 1}, got {ell}")
-    q, r = divmod(ell, 2 * e + 1)
-    return BinaryPerfectParams(
-        ell=ell, e=e, q=q, r=r, s=min(r, e), count=min(r + 1, 2 * e + 1 - r)
-    )
-
-
 def count_binary_perfect(ell: int, e: int) -> int:
     """Number of nontrivial e-perfect codes over a binary alphabet.
 
-    Returns 0 when ell < 2e+1 (no nontrivial code fits) or e < 1.
+    With r = ell mod (2e+1), the remainder of ell by the codeword spacing,
+    that is min(r+1, 2e+1-r). Returns 0 when ell < 2e+1 (no nontrivial code
+    fits) or e < 1.
     """
     if e < 0:
         raise ValueError(f"e must be >= 0, got {e}")
     if e == 0 or ell < 2 * e + 1:
         return 0
-    return binary_perfect_params(ell, e).count
+    r = ell % (2 * e + 1)
+    return min(r + 1, 2 * e + 1 - r)
 
 
 def construct_binary_perfect(ell: int, e: int, m: int = 1) -> Code:
     """The m-th perfect code over a binary alphabet, 1 <= m <= count.
 
-    Codewords sit at spacing 2e+1 along the path from (ell, 0) to (0, ell);
-    m selects how the pattern is anchored against the endpoints.
+    Codewords sit at spacing 2e+1 along the path from (ell, 0) to (0, ell):
+    q + 1 of them, where q and r are the quotient and remainder of ell by
+    2e+1. The first sits s - m + 1 steps from the (ell, 0) corner, where
+    s = min(r, e) is the largest offset it can have; m selects how the
+    pattern is anchored against the endpoints.
     """
-    p = binary_perfect_params(ell, e)
-    if not 1 <= m <= p.count:
-        raise ValueError(f"m must be in [1, {p.count}], got {m}")
+    if e < 1:
+        raise ValueError(f"e must be >= 1, got {e}")
+    if ell < 2 * e + 1:
+        raise ValueError(f"ell must be >= 2e+1 = {2 * e + 1}, got {ell}")
+    count = count_binary_perfect(ell, e)
+    if not 1 <= m <= count:
+        raise ValueError(f"m must be in [1, {count}], got {m}")
     step = 2 * e + 1
-    words = tuple(
-        (ell - p.s + m - 1 - i * step, p.s - m + 1 + i * step) for i in range(p.q + 1)
-    )
+    q, r = divmod(ell, step)
+    first = min(r, e) - m + 1
+    words = tuple((ell - first - i * step, first + i * step) for i in range(q + 1))
     return Code(SimplexSpace(1, ell), words, radius_claim=e)
 
 

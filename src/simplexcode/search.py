@@ -176,8 +176,8 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
 
     Solutions with fewer than two codewords (a single ball swallowing the
     space) are never reported, and e = 0 admits no nontrivial code by
-    definition, so such searches report zero. Every emitted code is
-    re-verified with is_perfect before it enters the report.
+    definition; when e = 0 or ell <= e that leaves none, so the solver is
+    not run. Every emitted code is re-verified with is_perfect.
     """
     space, e = problem.space, problem.e
     size = space.size()
@@ -191,17 +191,21 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
             f"{problem.point_budget}"
         )
     t0 = time.perf_counter()
-    raw, nodes = _exact_covers(
-        space, e, max_solutions=problem.max_solutions, node_budget=problem.node_budget
-    )
+    if e and space.ell > e:
+        raw, nodes = _exact_covers(
+            space, e, max_solutions=problem.max_solutions, node_budget=problem.node_budget
+        )
+    else:  # Each ball is one point or the whole space: the solver meets size + 1 nodes.
+        raw, nodes = [], size + 1
+        if problem.node_budget and nodes > problem.node_budget:
+            raise BudgetExceededError(f"search exceeded node budget of {problem.node_budget}")
 
     codes = []
-    if e >= 1:
-        for sol in raw:
-            code = Code(space, sol, radius_claim=e)
-            if not is_perfect(code, e):
-                raise AssertionError(f"search produced a non-perfect code: {code!r}")
-            codes.append(code)
+    for sol in raw:
+        code = Code(space, sol, radius_claim=e)
+        if not is_perfect(code, e):
+            raise AssertionError(f"search produced a non-perfect code: {code!r}")
+        codes.append(code)
     codes.sort(key=lambda c: c.codewords, reverse=True)
 
     orbit_count = None

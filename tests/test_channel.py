@@ -45,10 +45,10 @@ EXACT_TERNARY_E2 = {
 # (successes, ambiguous, errors, score_total). A change here is a change of
 # the sampling stream, which must be versioned in README and CHANGES.
 SAMPLED_STREAM = {
-    ("t2", 2, 0, 0, "uniform", 2021): (2000, 0, 0, 5526),
-    ("t2", 3, 0, 0, "uniform", 2022): (1550, 0, 450, 6166),
-    ("t2", 2, 1, 1, "uniform", 2023): (1683, 0, 317, 6002),
-    ("b64", 3, 0, 0, "round-robin", 2024): (2000, 0, 0, 8124),
+    ("t2", 2, 0, 0, "uniform", 2021): (2000, 0, 0, 5518),
+    ("t2", 3, 0, 0, "uniform", 2022): (1548, 0, 452, 6108),
+    ("t2", 2, 1, 1, "uniform", 2023): (1708, 0, 292, 5954),
+    ("b64", 3, 0, 0, "round-robin", 2024): (2000, 0, 0, 8136),
 }
 
 
@@ -80,9 +80,10 @@ class TestTransmit:
         assert transmit((3, 2, 2), cfg) == transmit((3, 2, 2), cfg)
 
     def test_trials_give_distinct_streams(self):
-        cfg = ChannelConfig(substitutions=1, seed=4)
-        outs = {transmit((3, 2, 2), cfg, trial=t) for t in range(8)}
-        assert len(outs) > 1  # the noise varies across substreams
+        # Consecutive trials of a run draw on from one stream.
+        cfg, rng = ChannelConfig(substitutions=1, seed=4), channel._rng(4)
+        outs = {channel._sample((3, 2, 2), cfg, rng) for _ in range(8)}
+        assert len(outs) > 1  # the noise varies along the stream
 
     def test_substitution_forces_a_different_symbol(self):
         for seed in range(30):
@@ -126,14 +127,15 @@ class TestTransmit:
     def test_received_vectors_follow_the_positional_patterns(self):
         # Every position-level pattern is equally likely, so each received
         # vector's frequency is binomial with the oracle's pattern share.
+        # The vectors are drawn in order from one stream, as a run draws them.
         sent, trials = (5, 0, 2), 2000
-        cfg = ChannelConfig(substitutions=1, deletions=1, insertions=1, seed=2024)
+        cfg, rng = ChannelConfig(substitutions=1, deletions=1, insertions=1), channel._rng(2024)
         seq = (0,) * 5 + (2,) * 2
         patterns = Counter(
             tuple(v.count(sym) for sym in range(3)) for v in _noisy_variants(seq, 1, 1, 1, 2)
         )
         total = sum(patterns.values())
-        seen = Counter(transmit(sent, cfg, trial=t) for t in range(trials))
+        seen = Counter(channel._sample(sent, cfg, rng) for _ in range(trials))
         assert set(seen) <= set(patterns)
         for counts, ways in patterns.items():
             lo, hi = binomial_bounds(trials, ways, total, _TAIL)
@@ -251,11 +253,50 @@ class TestRunExperiment:
         got = (stats.successes, stats.ambiguous, stats.errors, stats.score_total)
         assert (stats.trials, got) == (2000, SAMPLED_STREAM[key])
 
+    @pytest.mark.parametrize(
+        "selection,exhaustive,streams",
+        [("uniform", False, 1), ("round-robin", False, 1), ("uniform", True, 0)],
+    )
+    def test_one_stream_per_run(self, monkeypatch, selection, exhaustive, streams):
+        built, rng = [], channel._rng
+
+        def counting(seed):
+            built.append(seed)
+            return rng(seed)
+
+        monkeypatch.setattr(channel, "_rng", counting)
+        code = construct_ternary_perfect(2, 2)
+        cfg = ChannelConfig(substitutions=2, insertions=1, seed=31)
+        run_experiment(code, cfg, 1000, selection, exhaustive=exhaustive)
+        assert built == [31] * streams
+
+    @pytest.mark.parametrize("seed", [0, 7, 2023, 2**64 - 1])
+    def test_a_run_starts_where_transmit_does(self, monkeypatch, seed):
+        received, decode = [], channel.decode_received
+
+        def recording(code, counts):
+            received.append(counts)
+            return decode(code, counts)
+
+        monkeypatch.setattr(channel, "decode_received", recording)
+        ternary, binary = construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3)
+        for code, (subs, ins, dels) in [
+            (ternary, (2, 1, 1)),
+            (ternary, (3, 0, 0)),
+            (ternary, (0, 2, 3)),
+            (binary, (3, 0, 0)),
+            (binary, (1, 2, 1)),
+        ]:
+            cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=seed)
+            received.clear()
+            run_experiment(code, cfg, trials=1, codeword_selection="round-robin")
+            assert received == [transmit(code.codewords[0], cfg)], (subs, ins, dels)
+
     def test_oversized_runs_refused_before_any_draw(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a trial stream was drawn")
 
-        monkeypatch.setattr(channel, "_trial_rng", refuse)
+        monkeypatch.setattr(channel, "_rng", refuse)
         code = construct_ternary_perfect(2, 2)
         cfg = ChannelConfig(substitutions=10**9, seed=1)
         start = time.process_time()

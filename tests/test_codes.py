@@ -14,7 +14,6 @@ from simplexcode import (
     Code,
     SimplexSpace,
     ball_size,
-    binary_perfect_params,
     code_from_dict,
     construct_binary_perfect,
     construct_ternary_perfect,
@@ -52,16 +51,11 @@ class TestCodeType:
 
 
 class TestBinaryParams:
-    def test_division_identity(self):
+    def test_count_between_one_and_e_plus_one(self):
         for ell in range(3, 40):
             for e in range(1, 5):
-                if ell < 2 * e + 1:
-                    continue
-                p = binary_perfect_params(ell, e)
-                assert p.ell == p.q * (2 * e + 1) + p.r
-                assert 0 <= p.r < 2 * e + 1
-                assert p.q >= 1
-                assert 1 <= p.count <= e + 1
+                if ell >= 2 * e + 1:
+                    assert 1 <= count_binary_perfect(ell, e) <= e + 1
 
     @pytest.mark.parametrize("ell,e,expected", [(7, 1, 2), (8, 1, 1), (9, 1, 1)])
     def test_counts(self, ell, e, expected):

@@ -175,6 +175,38 @@ class TestAgainstCoverMatrix:
         assert 0 < len(built) < space.size() / 10
 
 
+class TestTrivialCells:
+    """e = 0 or ell <= e: each ball is one point or the whole space."""
+
+    def test_rule_reports_what_the_solver_would(self):
+        for n in range(0, 6):
+            for ell in range(0, 9):
+                space = SimplexSpace(n, ell)
+                for e in [0] + list(range(max(ell, 1), 6)):
+                    for max_solutions in (0, 1, 2):
+                        problem = SearchProblem(space, e, max_solutions=max_solutions)
+                        report = enumerate_perfect_codes(problem)
+                        _, nodes = search._exact_covers(
+                            space, e, max_solutions=max_solutions, node_budget=0
+                        )
+                        assert (report.solution_count, report.solutions) == (0, ())
+                        assert report.nodes_explored == nodes == space.size() + 1
+
+    def test_widest_corner_skips_the_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(search, "_exact_covers", refuse)
+        space = SimplexSpace(49_999, 1)
+        report = enumerate_perfect_codes(SearchProblem(space, 1, symmetry_reduction=True))
+        assert (report.solution_count, report.orbit_count) == (0, 0)
+        assert report.nodes_explored == 50_001
+        exact = enumerate_perfect_codes(SearchProblem(space, 1, node_budget=50_001))
+        assert exact.nodes_explored == 50_001
+        with pytest.raises(BudgetExceededError, match="node budget of 50000"):
+            enumerate_perfect_codes(SearchProblem(space, 1, node_budget=50_000))
+
+
 class TestDeepSearch:
     def test_largest_binary_cell_under_default_budget(self):
         # One search level per codeword: 16,667 levels, far past the
