@@ -3,13 +3,14 @@
 A codeword (a multiplicity vector) is sent as a bag of symbols; the channel
 permutes the bag arbitrarily and may corrupt it with symbol substitutions,
 deletions, and insertions. The receiver sees only how often each symbol
-arrived, so the channel is modelled on count vectors alone: one transition
-function maps a count vector and an event kind to the count vectors a
-single event can lead to, each weighted by the number of position-level
-events that produce it. Sampling draws every event from these weights;
-exhaustive mode pushes exact integer weights through all events. Both
+arrived, so the channel is modelled on count vectors alone: one event turns
+a count vector into another, each outcome weighted by the number of
+position-level events that produce it. Sampling draws every event
+uniformly below its total weight and picks the outcome arithmetically, in
+numpy passes over a (trials x symbols) count matrix; exhaustive mode pushes
+exact integer weights through the transition lists of all events. Both
 modes fill one histogram of (sent, received) count-vector pairs and decode
-each distinct pair once.
+each distinct received vector once, against a matrix of the codewords.
 
 The receiver decodes the count vector against the code under the
 symmetric-difference metric: the unhalved L1 distance between count
@@ -37,6 +38,26 @@ from .simplex import Point
 # codewords, trials or 1); exhaustive mode also refuses above this many
 # patterns, which bounds its integer weights and the `trials` it reports.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
+
+# Work bounds in counts touched, checked before a run starts. Each event
+# takes one pass over the runs' count vectors, events x runs x symbols
+# counts, and an event pass costs at least as much as touching
+# _PASS_CELLS counts; a run without events still takes one pass (its
+# tally). Decoding compares up to runs x codewords x symbols counts, as a
+# sampled trial adds at most one distinct received vector (exhaustive
+# runs are bounded by their pattern count instead). Each budget admits a
+# few seconds of work on one core.
+EVENT_WORK_BUDGET = 100_000_000
+DECODE_WORK_BUDGET = 1_000_000_000
+_PASS_CELLS = 512
+
+# Trials are sampled, and received vectors decoded, in blocks of about this
+# many matrix entries, so memory stays flat on wide alphabets.
+_CHUNK_CELLS = 2**14
+
+# Draws and integer matrices are int64: an event's total weight must stay
+# below this, and matrices switch to exact Python integers at or above it.
+_INT64_LIMIT = 2**63
 
 _SELECTIONS = ("uniform", "round-robin")
 
@@ -83,6 +104,20 @@ def _events(cfg: ChannelConfig) -> Iterator[str]:
     )
 
 
+def _event_totals(length: int, cfg: ChannelConfig, n: int) -> Iterator[int]:
+    """Total weight of each event in channel order, starting at this length.
+
+    A total depends only on the current length L: L*n for a substitution, L
+    for a deletion, (L+1)(n+1) for an insertion. The totals are the factors
+    of the position-level pattern count.
+    """
+    return chain(
+        repeat(length * n, cfg.substitutions),
+        range(length, length - cfg.deletions, -1),
+        ((length - cfg.deletions + k) * (n + 1) for k in range(1, cfg.insertions + 1)),
+    )
+
+
 def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
     """Count vectors one event turns `counts` into, with integer weights.
 
@@ -109,11 +144,14 @@ def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
     return out
 
 
-def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int) -> None:
+def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int) -> None:
     """Reject events that cannot act on a sequence of this length over n+1
-    symbols, and more event steps over `runs` runs than the budget allows.
+    symbols, and runs over the step or work budgets.
 
-    A run without events still costs one step (its decode).
+    `runs` runs of the events are priced, decoding against `words`
+    codewords (0 when nothing is decoded). A run without events still costs
+    one step (its decode). Every event's total weight must fit a 64-bit
+    draw, so the error names it rather than numpy.
     """
     if cfg.substitutions and n < 1:
         raise ValueError("substitution needs an alphabet with at least 2 symbols")
@@ -123,28 +161,47 @@ def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int) -> None:
         )
     if cfg.substitutions and length == 0:
         raise ValueError("cannot substitute into an empty sequence")
-    steps = max(cfg.substitutions + cfg.deletions + cfg.insertions, 1) * runs
+    events = cfg.substitutions + cfg.deletions + cfg.insertions
+    steps = max(events, 1) * runs
     if steps > EXHAUSTIVE_PATTERN_BUDGET:
         raise BudgetExceededError(
             f"the run would take {steps} event steps, "
             f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
+        )
+    # The first substitution or deletion and the last insertion weigh the most.
+    heaviest = max(
+        length * n if cfg.substitutions else 0,
+        length if cfg.deletions else 0,
+        (length - cfg.deletions + cfg.insertions) * (n + 1) if cfg.insertions else 0,
+    )
+    if heaviest >= _INT64_LIMIT:
+        raise BudgetExceededError(
+            f"an event would choose among {heaviest} position-level events, "
+            "at or above the sampler's limit of 2**63"
+        )
+    work = max(events, 1) * max(runs * (n + 1), _PASS_CELLS)
+    if work > EVENT_WORK_BUDGET:
+        raise BudgetExceededError(
+            f"the events would touch {work} counts (events x runs x symbols, "
+            f"at least {_PASS_CELLS} per event), over the budget of {EVENT_WORK_BUDGET}"
+        )
+    work = runs * words * (n + 1)
+    if work > DECODE_WORK_BUDGET:
+        raise BudgetExceededError(
+            f"decoding would compare {work} counts (runs x codewords x symbols), "
+            f"over the budget of {DECODE_WORK_BUDGET}"
         )
 
 
 def _check_patterns(length: int, cfg: ChannelConfig, n: int, words: int) -> None:
     """Reject exhaustive runs of more noise patterns than the budget.
 
-    The count is `words` times one factor per event in channel order; once
+    The count is `words` times each event's total weight; once
     _check_events has passed, every factor is >= 1, so the first partial
     product over the budget decides without forming the whole count.
     """
     patterns = 1
-    for factor in chain(
-        (words,),
-        repeat(length * n, cfg.substitutions),
-        range(length, length - cfg.deletions, -1),
-        ((length - cfg.deletions + k) * (n + 1) for k in range(1, cfg.insertions + 1)),
-    ):
+    for factor in chain((words,), _event_totals(length, cfg, n)):
         patterns *= factor
         if patterns > EXHAUSTIVE_PATTERN_BUDGET:
             raise BudgetExceededError(
@@ -153,21 +210,73 @@ def _check_patterns(length: int, cfg: ChannelConfig, n: int, words: int) -> None
             )
 
 
-def _sample(counts: Point, cfg: ChannelConfig, rng: np.random.Generator) -> Point:
-    """Apply the configured events to a count vector, one draw per event.
+def _matrix(rows, bound: int) -> np.ndarray:
+    """Integer rows as a matrix: int64 when every value computed from it is
+    below `bound`, exact Python integers otherwise."""
+    return np.array(rows, dtype=np.int64 if bound < _INT64_LIMIT else object)
 
-    Each draw is uniform below the event's total weight and picks the
-    transition whose cumulative weight range holds it.
+
+def _apply_events(counts: np.ndarray, draws: np.ndarray, cfg: ChannelConfig, length: int) -> None:
+    """Apply the configured events to every row of a C-contiguous count
+    matrix, in place.
+
+    Column t of `draws` holds each row's draw below the total weight of
+    event t. A draw picks the transition whose cumulative weight range
+    holds it, in the order of _transitions, by arithmetic. With S_i the
+    sum of the counts before symbol i, symbol i owns the substitution
+    draws [n*S_i, n*(S_i + c_i)), c_i of them for each target j != i in
+    order, and the deletion draws [S_i, S_i + c_i); target j owns the
+    insertion draws [j*(L+1), (j+1)*(L+1)).
     """
-    for kind in _events(cfg):
-        moves = _transitions(counts, kind)
-        r = int(rng.integers(sum([weight for _, weight in moves])))
-        for nxt, weight in moves:
-            if r < weight:
-                break
-            r -= weight
-        counts = nxt
-    return counts
+    width = counts.shape[1]
+    n = width - 1
+    flat = counts.reshape(-1)
+    base = np.arange(len(counts)) * width
+    for r, kind in zip(draws.T, _events(cfg)):
+        if kind == "insertion":
+            flat[base + r // (length + 1)] += 1
+            length += 1
+            continue
+        ends = counts.cumsum(axis=1)
+        slot = r // n if kind == "substitution" else r
+        i = (ends > slot[:, None]).argmax(axis=1)
+        at = base + i
+        had = flat[at]
+        flat[at] = had - 1
+        if kind == "substitution":
+            j = (r - n * (ends.reshape(-1)[at] - had)) // had
+            flat[base + j + (j >= i)] += 1
+        else:
+            length -= 1
+
+
+def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> Counter:
+    """(sent codeword index, received count vector) -> trials, over `trials`
+    trials drawn in order from `rng`.
+
+    Every trial draws the same bounds: its codeword index (uniform
+    selection), then each event's total weight, which depends only on the
+    length. So one array call per chunk of trials draws exactly the values
+    that one scalar call per bound would, and leaves the stream where they
+    would leave it.
+    """
+    length = sum(words[0])
+    bounds = [len(words)] if selection == "uniform" else []
+    bounds += _event_totals(length, cfg, len(words[0]) - 1)
+    chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
+    sent_rows = _matrix(words, length + cfg.insertions)
+    received: Counter = Counter()
+    for start in range(0, trials, chunk):
+        draws = rng.integers(tiled[: trials - start])
+        if selection == "uniform":
+            sent, draws = draws[:, 0], draws[:, 1:]
+        else:
+            sent = np.arange(start, start + len(draws)) % len(words)
+        counts = sent_rows[sent]
+        _apply_events(counts, draws, cfg, length)
+        received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
+    return received
 
 
 def transmit(counts, cfg: ChannelConfig) -> Point:
@@ -181,8 +290,9 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     sent = tuple(counts)
     if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
         raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
-    _check_events(sum(sent), cfg, len(sent) - 1, 1)
-    return _sample(sent, cfg, _rng(cfg.seed))
+    _check_events(sum(sent), cfg, len(sent) - 1, 1, 0)
+    ((_, received),) = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
+    return received
 
 
 def symmetric_difference(a, b) -> int:
@@ -190,6 +300,26 @@ def symmetric_difference(a, b) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def _decode(words, vectors: list, bound: int) -> list[tuple[int, int]]:
+    """(codeword index, score) of each vector under minimum symmetric
+    difference, with index -1 for a tie.
+
+    Each block of vectors takes one numpy L1 against the codeword matrix,
+    in int64 when every score is below `bound`, in exact Python integers
+    otherwise.
+    """
+    table = _matrix(words, bound)
+    block = max(1, _CHUNK_CELLS // table.size)
+    out: list[tuple[int, int]] = []
+    for start in range(0, len(vectors), block):
+        received = _matrix(vectors[start : start + block], bound)
+        scores = np.abs(received[:, None, :] - table).sum(axis=2)
+        best = scores.min(axis=1)
+        tied = (scores == best[:, None]).sum(axis=1) > 1
+        out += zip(np.where(tied, -1, scores.argmin(axis=1)).tolist(), best.tolist())
+    return out
 
 
 def decode_received(code: Code, received) -> tuple[Point, int]:
@@ -205,13 +335,14 @@ def decode_received(code: Code, received) -> tuple[Point, int]:
         raise ValueError(
             f"count vector has {len(r)} entries, alphabet needs {code.space.n + 1}"
         )
-    if any(c < 0 for c in r):
-        raise ValueError("counts must be >= 0")
-    best = min(symmetric_difference(c, r) for c in code.codewords)
-    tied = [c for c in code.codewords if symmetric_difference(c, r) == best]
-    if len(tied) > 1:
+    if any(not isinstance(c, (int, np.integer)) or c < 0 for c in r):
+        raise ValueError(f"counts must be integers >= 0, got {r!r}")
+    r = tuple(map(int, r))
+    ((index, best),) = _decode(code.codewords, [r], code.space.ell + sum(r))
+    if index < 0:
+        tied = [c for c in code.codewords if symmetric_difference(c, r) == best]
         raise AmbiguousDecodeError(r, tied, best)
-    return tied[0], best
+    return code.codewords[index], best
 
 
 @dataclass(frozen=True)
@@ -284,7 +415,7 @@ def run_experiment(
     success_rate == 1.0 thus proves that no pattern of that weight can fool
     the decoder.
 
-    Either mode decodes each distinct (sent, received) pair once.
+    Either mode decodes each distinct received vector once.
     """
     if codeword_selection not in _SELECTIONS:
         raise ValueError(f"codeword_selection must be one of {_SELECTIONS}")
@@ -294,11 +425,11 @@ def run_experiment(
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
     length, n, words = code.space.ell, code.space.n, code.codewords
-    _check_events(length, cfg, n, len(words) if exhaustive else trials)
-    received: Counter = Counter()
+    _check_events(length, cfg, n, len(words) if exhaustive else trials, len(words))
     if exhaustive:
         _check_patterns(length, cfg, n, len(words))
-        for sent in words:
+        received: Counter = Counter()
+        for index, sent in enumerate(words):
             weights: Counter = Counter({sent: 1})
             for kind in _events(cfg):
                 nxt: Counter = Counter()
@@ -306,27 +437,21 @@ def run_experiment(
                     for moved, ways in _transitions(counts, kind):
                         nxt[moved] += weight * ways
                 weights = nxt
-            received.update({(sent, counts): weight for counts, weight in weights.items()})
+            received.update({(index, counts): weight for counts, weight in weights.items()})
     else:
-        rng = _rng(cfg.seed)
-        for t in range(trials):
-            if codeword_selection == "uniform":
-                sent = words[int(rng.integers(len(words)))]
-            else:
-                sent = words[t % len(words)]
-            received[sent, _sample(sent, cfg, rng)] += 1
+        received = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))
+    # A score is at most ell plus the received length, itself at most ell + insertions.
+    vectors = list(dict.fromkeys(counts for _, counts in received))
+    decoded = dict(zip(vectors, _decode(words, vectors, 2 * (length + cfg.insertions))))
     successes = ambiguous = errors = score_total = 0
     for (sent, counts), weight in received.items():
-        try:
-            decoded, score = decode_received(code, counts)
-        except AmbiguousDecodeError as exc:
+        index, score = decoded[counts]
+        if index < 0:
             ambiguous += weight
-            score = exc.score
+        elif index == sent:
+            successes += weight
         else:
-            if decoded == sent:
-                successes += weight
-            else:
-                errors += weight
+            errors += weight
         score_total += score * weight
     return ExperimentStats(
         trials=sum(received.values()),

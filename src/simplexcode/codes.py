@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, count
 from pathlib import Path
 
-from .errors import AmbiguousDecodeError
+from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import (
     Point,
     SimplexSpace,
@@ -24,6 +24,10 @@ from .simplex import (
     make_point,
     point_at,
 )
+
+# construct_binary_perfect refuses to build more codewords than this: a
+# million take about 3 s and 300 MB to build and write out.
+CONSTRUCT_WORD_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,9 @@ def construct_binary_perfect(ell: int, e: int, m: int = 1) -> Code:
     q + 1 of them, where q and r are the quotient and remainder of ell by
     2e+1. The first sits s - m + 1 steps from the (ell, 0) corner, where
     s = min(r, e) is the largest offset it can have; m selects how the
-    pattern is anchored against the endpoints.
+    pattern is anchored against the endpoints. More than
+    CONSTRUCT_WORD_BUDGET codewords raise BudgetExceededError before any
+    is built.
     """
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
@@ -97,6 +103,10 @@ def construct_binary_perfect(ell: int, e: int, m: int = 1) -> Code:
         raise ValueError(f"m must be in [1, {count}], got {m}")
     step = 2 * e + 1
     q, r = divmod(ell, step)
+    if q + 1 > CONSTRUCT_WORD_BUDGET:
+        raise BudgetExceededError(
+            f"the code would have {q + 1} codewords, over the budget of {CONSTRUCT_WORD_BUDGET}"
+        )
     first = min(r, e) - m + 1
     words = tuple((ell - first - i * step, first + i * step) for i in range(q + 1))
     return Code(SimplexSpace(1, ell), words, radius_claim=e)

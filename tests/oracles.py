@@ -17,7 +17,12 @@ before the count-domain model replaced it, kept unchanged as the channel
 oracle.
 count_noise_patterns is the closed-form pattern count that guarded
 exhaustive runs before the channel's early-exit product replaced it, kept
-as the reference formula.
+as the reference formula. _sample, python_decode_received and
+scalar_sampled_experiment are the sampler that drew one event at a time
+by walking its transition list, and the per-vector Python decoder, as a
+sampled run used them before the array sampler and the codeword-matrix
+decode replaced them; kept unchanged as the second channel oracle, they pin
+the array path's draws and outcomes.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from simplexcode import (
     decode_received,
     enumerate_space,
 )
+from simplexcode.channel import _events, _rng, _transitions, symmetric_difference
 
 SymbolSequence = tuple[int, ...]
 
@@ -348,6 +354,77 @@ def positional_exhaustive(code, cfg) -> ExperimentStats:
             score_total += score * times
             trials += times
     return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive=True)
+
+
+def _sample(counts: Point, cfg, rng) -> Point:
+    """Apply the configured events to a count vector, one draw per event.
+
+    Each draw is uniform below the event's total weight and picks the
+    transition whose cumulative weight range holds it.
+    """
+    for kind in _events(cfg):
+        moves = _transitions(counts, kind)
+        r = int(rng.integers(sum([weight for _, weight in moves])))
+        for nxt, weight in moves:
+            if r < weight:
+                break
+            r -= weight
+        counts = nxt
+    return counts
+
+
+def python_decode_received(code, received) -> tuple[Point, int]:
+    """Minimum symmetric-difference decoding of a raw count vector.
+
+    The received vector need not lie in the simplex (its cardinality may
+    differ from ell after insertions or deletions). On vectors that do lie
+    in the simplex this agrees with nearest-codeword decoding, with scores
+    exactly twice the half-L1 distances. Ties raise AmbiguousDecodeError.
+    """
+    r = tuple(received)
+    if len(r) != code.space.n + 1:
+        raise ValueError(
+            f"count vector has {len(r)} entries, alphabet needs {code.space.n + 1}"
+        )
+    if any(c < 0 for c in r):
+        raise ValueError("counts must be >= 0")
+    best = min(symmetric_difference(c, r) for c in code.codewords)
+    tied = [c for c in code.codewords if symmetric_difference(c, r) == best]
+    if len(tied) > 1:
+        raise AmbiguousDecodeError(r, tied, best)
+    return tied[0], best
+
+
+def scalar_sampled_experiment(code, cfg, trials: int, codeword_selection: str = "uniform"):
+    """Sampled-mode ExperimentStats, one trial and one draw at a time.
+
+    Draws each trial's codeword and events in order from one stream keyed
+    by the seed with _sample, then decodes each distinct (sent, received)
+    pair once with python_decode_received.
+    """
+    words = code.codewords
+    received: Counter = Counter()
+    rng = _rng(cfg.seed)
+    for t in range(trials):
+        if codeword_selection == "uniform":
+            sent = words[int(rng.integers(len(words)))]
+        else:
+            sent = words[t % len(words)]
+        received[sent, _sample(sent, cfg, rng)] += 1
+    successes = ambiguous = errors = score_total = 0
+    for (sent, counts), weight in received.items():
+        try:
+            decoded, score = python_decode_received(code, counts)
+        except AmbiguousDecodeError as exc:
+            ambiguous += weight
+            score = exc.score
+        else:
+            if decoded == sent:
+                successes += weight
+            else:
+                errors += weight
+        score_total += score * weight
+    return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive=False)
 
 
 def binomial_bounds(trials: int, num: int, den: int, tail: Fraction) -> tuple[int, int]:

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracles import _noisy_variants, binomial_bounds, count_noise_patterns, positional_exhaustive
+from oracles import (
+    _noisy_variants,
+    binomial_bounds,
+    count_noise_patterns,
+    positional_exhaustive,
+    python_decode_received,
+    scalar_sampled_experiment,
+)
 
 from simplexcode import (
     AmbiguousDecodeError,
@@ -52,6 +61,20 @@ SAMPLED_STREAM = {
 }
 
 
+def _unit_code(n: int, ell: int = 1) -> Code:
+    """The code of all n+1 corners ell*e_i of the simplex (radius 0)."""
+    corners = tuple(tuple(ell if j == i else 0 for j in range(n + 1)) for i in range(n + 1))
+    return Code(SimplexSpace(n, ell), corners)
+
+
+def _two_words(ell: int) -> Code:
+    return Code(SimplexSpace(1, ell), ((ell, 0), (0, ell)))
+
+
+def _refuse_draws(*args):
+    raise AssertionError("a trial stream was drawn")
+
+
 class TestChannelConfig:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -82,7 +105,7 @@ class TestTransmit:
     def test_trials_give_distinct_streams(self):
         # Consecutive trials of a run draw on from one stream.
         cfg, rng = ChannelConfig(substitutions=1, seed=4), channel._rng(4)
-        outs = {channel._sample((3, 2, 2), cfg, rng) for _ in range(8)}
+        outs = set(channel._sample_run(((3, 2, 2),), cfg, 8, "round-robin", rng))
         assert len(outs) > 1  # the noise varies along the stream
 
     def test_substitution_forces_a_different_symbol(self):
@@ -135,7 +158,8 @@ class TestTransmit:
             tuple(v.count(sym) for sym in range(3)) for v in _noisy_variants(seq, 1, 1, 1, 2)
         )
         total = sum(patterns.values())
-        seen = Counter(channel._sample(sent, cfg, rng) for _ in range(trials))
+        runs = channel._sample_run((sent,), cfg, trials, "round-robin", rng)
+        seen = Counter({counts: times for (_, counts), times in runs.items()})
         assert set(seen) <= set(patterns)
         for counts, ways in patterns.items():
             lo, hi = binomial_bounds(trials, ways, total, _TAIL)
@@ -171,6 +195,36 @@ class TestDecodeReceived:
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(ValueError, match=">= 0"):
             decode_received(code, (4, -1, 1))
+
+    def test_rejects_non_integer_counts(self):
+        code = construct_ternary_perfect(2, 2)
+        with pytest.raises(ValueError, match="integers"):
+            decode_received(code, (4.5, 2, 1))
+
+    def test_exact_at_huge_lengths(self):
+        # Scores reach 2**63 here, past int64; the decode switches to exact integers.
+        ell = 2**62
+        code = _two_words(ell)
+        assert decode_received(code, (0, ell)) == ((0, ell), 0)
+        assert decode_received(code, (ell + 1, 0)) == ((ell, 0), 1)
+        with pytest.raises(AmbiguousDecodeError) as exc_info:
+            decode_received(code, (ell, ell))
+        assert exc_info.value.score == ell
+
+    def test_agrees_with_the_python_decoder(self):
+        rnd = random.Random(5)
+        for code in (construct_ternary_perfect(2, 2), construct_binary_perfect(10, 1, 2),
+                     Code(SimplexSpace(1, 2), ((2, 0), (0, 2))), _unit_code(30, 2)):
+            for _ in range(200):
+                r = tuple(rnd.randrange(code.space.ell + 3) for _ in range(code.space.n + 1))
+                try:
+                    want = python_decode_received(code, r)
+                except AmbiguousDecodeError as exc:
+                    with pytest.raises(AmbiguousDecodeError) as got:
+                        decode_received(code, r)
+                    assert (got.value.candidates, got.value.score) == (exc.candidates, exc.score)
+                else:
+                    assert decode_received(code, r) == want
 
     def test_agrees_with_half_metric_decoder_inside_simplex(self):
         code = construct_ternary_perfect(1, 1)
@@ -272,13 +326,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seed", [0, 7, 2023, 2**64 - 1])
     def test_a_run_starts_where_transmit_does(self, monkeypatch, seed):
-        received, decode = [], channel.decode_received
+        received, decode = [], channel._decode
 
-        def recording(code, counts):
-            received.append(counts)
-            return decode(code, counts)
+        def recording(words, vectors, bound):
+            received.extend(vectors)
+            return decode(words, vectors, bound)
 
-        monkeypatch.setattr(channel, "decode_received", recording)
+        monkeypatch.setattr(channel, "_decode", recording)
         ternary, binary = construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3)
         for code, (subs, ins, dels) in [
             (ternary, (2, 1, 1)),
@@ -293,10 +347,7 @@ class TestRunExperiment:
             assert received == [transmit(code.codewords[0], cfg)], (subs, ins, dels)
 
     def test_oversized_runs_refused_before_any_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a trial stream was drawn")
-
-        monkeypatch.setattr(channel, "_rng", refuse)
+        monkeypatch.setattr(channel, "_rng", _refuse_draws)
         code = construct_ternary_perfect(2, 2)
         cfg = ChannelConfig(substitutions=10**9, seed=1)
         start = time.process_time()
@@ -322,6 +373,64 @@ class TestRunExperiment:
         assert sum(transmit((2, 1, 1), cfg)) == 5
         with pytest.raises(BudgetExceededError, match="4 event steps"):
             transmit((2, 1, 1), ChannelConfig(substitutions=2, insertions=2))
+
+    def test_event_weights_must_fit_a_64_bit_draw(self, monkeypatch):
+        # Each event draws below its total weight as an int64; at or above
+        # 2**63 the run is refused before any draw, with the package's message.
+        monkeypatch.setattr(channel, "_rng", _refuse_draws)
+        ell = 2**62
+        code = _two_words(ell)
+        for sent, cfg in [
+            ((ell, 0), ChannelConfig(insertions=1)),  # (2**62 + 1) * 2
+            ((ell - 1, 0), ChannelConfig(insertions=1)),  # exactly 2**63
+            ((2 * ell, 0), ChannelConfig(deletions=1)),  # 2**63
+            ((ell, 0, 0), ChannelConfig(substitutions=1)),  # 2**62 * 2
+        ]:
+            with pytest.raises(BudgetExceededError, match=r"limit of 2\*\*63"):
+                transmit(sent, cfg)
+        for exhaustive in (False, True):
+            with pytest.raises(BudgetExceededError, match=r"limit of 2\*\*63"):
+                run_experiment(code, ChannelConfig(insertions=1), 1, exhaustive=exhaustive)
+        monkeypatch.undo()
+        assert sum(transmit((ell - 2, 0), ChannelConfig(insertions=1))) == ell - 1
+        assert sum(transmit((ell - 1, 0, 0), ChannelConfig(substitutions=1))) == ell - 1
+
+    def test_event_work_is_bounded(self, monkeypatch):
+        # Events x runs x symbols, at least _PASS_CELLS per event; a run
+        # without events takes one pass.
+        code = construct_ternary_perfect(2, 2)
+        for cfg, trials, need in [
+            (ChannelConfig(substitutions=2, insertions=1, seed=3), 400, 3 * 400 * 3),
+            (ChannelConfig(seed=3), 1000, 1000 * 3),
+            (ChannelConfig(deletions=4, seed=3), 2, 4 * channel._PASS_CELLS),
+        ]:
+            monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", need)
+            assert run_experiment(code, cfg, trials).trials == trials
+            monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", need - 1)
+            with pytest.raises(BudgetExceededError, match=f"touch {need} counts"):
+                run_experiment(code, cfg, trials)
+
+    def test_decode_work_is_bounded(self, monkeypatch):
+        # Runs x codewords x symbols: each run adds at most one distinct vector.
+        code = construct_binary_perfect(64, 3)
+        cfg = ChannelConfig(substitutions=3, seed=8)
+        need = 500 * 10 * 2
+        monkeypatch.setattr(channel, "DECODE_WORK_BUDGET", need)
+        assert run_experiment(code, cfg, 500).trials == 500
+        monkeypatch.setattr(channel, "DECODE_WORK_BUDGET", need - 1)
+        with pytest.raises(BudgetExceededError, match=f"compare {need} counts"):
+            run_experiment(code, cfg, 500)
+        assert sum(transmit(code.codewords[0], cfg)) == 64  # transmit decodes nothing
+
+    def test_wide_alphabet_runs_are_priced(self, monkeypatch):
+        monkeypatch.setattr(channel, "_rng", _refuse_draws)
+        code, cfg = _unit_code(1000), ChannelConfig(substitutions=1, seed=1)
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="counts"):
+            run_experiment(code, cfg, trials=2_000_000)
+        with pytest.raises(BudgetExceededError, match="compare"):
+            run_experiment(code, cfg, trials=1000)
+        assert time.process_time() - start < 1.0
 
     def test_rates_sum_to_one(self):
         code = construct_ternary_perfect(1, 1)
@@ -480,3 +589,72 @@ class TestAgainstPositionalOracle:
         got = run_experiment(code, cfg, trials=1, exhaustive=True)
         assert got == positional_exhaustive(code, cfg)
         assert (got.successes, got.ambiguous, got.errors, got.trials) == EXACT_TERNARY_E2[noise]
+
+
+class TestAgainstScalarSampler:
+    """Sampling mode against the replaced one-draw-at-a-time sampler and
+    Python decoder: the same seed must give the same ExperimentStats."""
+
+    @pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
+    def test_array_bounds_draw_like_scalar_calls(self, seed):
+        # One array call draws what one scalar call per bound draws, in
+        # order, and leaves the stream where those calls leave it.
+        bounds = [1, 2, 3, 7, 1, 14, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**62, 2**63 - 1, 5]
+        tiled = np.array(bounds * 40, dtype=np.int64).reshape(40, len(bounds))
+        array_rng, scalar_rng = channel._rng(seed), channel._rng(seed)
+        got = array_rng.integers(tiled).tolist()
+        assert got == [[int(scalar_rng.integers(b)) for b in bounds] for _ in range(40)]
+        after = array_rng.integers(2**40, size=8).tolist()
+        assert after == scalar_rng.integers(2**40, size=8).tolist()
+
+    @pytest.mark.parametrize(
+        "code,noise,trials,selection",
+        [
+            # Above one chunk of 2**14 // 4 = 4096 trials.
+            (construct_ternary_perfect(2, 2), (2, 1, 1), 5000, "uniform"),
+            # 2**14 // 3 = 5461 trials per chunk: the round-robin offset moves on by 1.
+            (construct_binary_perfect(64, 3), (3, 0, 0), 6000, "round-robin"),
+            (_unit_code(250), (1, 0, 0), 60, "uniform"),
+            (_unit_code(250), (0, 1, 1), 30, "round-robin"),
+            (Code(SimplexSpace(1, 2), ((2, 0), (0, 2))), (1, 0, 0), 300, "uniform"),
+            (Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3))), (0, 3, 2), 300, "uniform"),
+            (_two_words(2**40), (0, 0, 0), 20, "uniform"),
+            (_two_words(2**40), (1, 0, 1), 200, "round-robin"),
+            (_two_words(2**62), (0, 0, 0), 20, "round-robin"),
+            (_two_words(2**62), (1, 0, 1), 200, "uniform"),
+        ],
+        ids=["t2-5000", "b64-6000-rr", "unit250", "unit250-rr", "tie", "quaternary",
+             "2^40-0", "2^40-2", "2^62-0", "2^62-2"],
+    )
+    def test_same_stats_as_the_scalar_sampler(self, code, noise, trials, selection):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=trials + 1)
+        got = run_experiment(code, cfg, trials, selection)
+        assert got == scalar_sampled_experiment(code, cfg, trials, selection)
+
+    def test_random_configs_across_small_chunks(self, monkeypatch):
+        # Chunks of a few trials put many chunk boundaries, and round-robin
+        # offsets that do not divide the chunk, inside each run.
+        rnd = random.Random(8)
+        codes = [construct_ternary_perfect(1, 1), construct_ternary_perfect(2, 1),
+                 construct_binary_perfect(10, 1, 2), construct_binary_perfect(9, 2, 1),
+                 Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3))), _unit_code(6, 2)]
+        for _ in range(60):
+            monkeypatch.setattr(channel, "_CHUNK_CELLS", rnd.choice([1, 7, 16, 40, 2**14]))
+            code = rnd.choice(codes)
+            cfg = ChannelConfig(substitutions=rnd.randrange(4), insertions=rnd.randrange(3),
+                                deletions=rnd.randrange(3), seed=rnd.getrandbits(64))
+            trials, selection = rnd.randrange(1, 120), rnd.choice(["uniform", "round-robin"])
+            got = run_experiment(code, cfg, trials, selection)
+            assert got == scalar_sampled_experiment(code, cfg, trials, selection), (code, cfg)
+
+    @pytest.mark.parametrize("ell", [2**40, 2**62])
+    def test_decodes_stay_exact_in_both_modes(self, ell):
+        # At 2**62 the far codeword scores 2**63, which int64 would wrap.
+        code = _two_words(ell)
+        for exhaustive in (False, True):
+            stats = run_experiment(code, ChannelConfig(seed=4), 4, exhaustive=exhaustive)
+            assert (stats.successes, stats.ambiguous, stats.errors) == (stats.trials, 0, 0)
+            assert stats.mean_score == 0.0
+        stats = run_experiment(code, ChannelConfig(substitutions=1, seed=4), 40)
+        assert (stats.successes, stats.score_total) == (40, 80)

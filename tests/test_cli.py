@@ -57,6 +57,28 @@ class TestConstruct:
         assert code == 2
         assert "--ell is required" in stderr
 
+    def test_oversized_code_exits_3_at_once(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        start = time.process_time()
+        code, stdout, stderr = run(
+            capsys, "construct", "--alphabet", "2", "--ell", "1000000000", "--e", "1",
+            "--out", str(out),
+        )
+        assert time.process_time() - start < 1.0
+        assert (code, stdout) == (3, "")
+        assert "333333334 codewords, over the budget" in stderr
+        assert not out.exists()
+
+    def test_benchmark_sized_code_builds(self, tmp_path, capsys):
+        out = tmp_path / "b100k.json"
+        code, stdout, _ = run(
+            capsys, "construct", "--alphabet", "2", "--ell", "100000", "--e", "7",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert "6667 codewords" in stdout
+        assert len(json.loads(out.read_text())["codewords"]) == 6667
+
     def test_ternary_checks_ell_consistency(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "construct", "--alphabet", "3", "--ell", "8", "--e", "2",
@@ -337,6 +359,35 @@ class TestSimulate:
         assert code == 3
         assert stdout == ""
         assert "event steps" in stderr
+
+    def test_wide_alphabet_run_exits_3_at_once(self, tmp_path, capsys):
+        # 2,000,000 trials on the 1,001 corners of (1000, 1): the events would
+        # touch 2 * 10**9 counts and the decode compare 2 * 10**12.
+        n = 1000
+        words = [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+        (tmp_path / "unit.json").write_text(
+            json.dumps({"n": n, "ell": 1, "e": 0, "codewords": words})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "unit.json", "substitutions": 1, "trials": 2_000_000, "seed": 1,
+        }))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (3, "")
+        assert "counts" in stderr and "over the budget" in stderr
+
+    def test_event_weight_over_int64_exits_3(self, tmp_path, capsys):
+        ell = 2**62
+        (tmp_path / "huge.json").write_text(
+            json.dumps({"n": 1, "ell": ell, "e": 0, "codewords": [[ell, 0], [0, ell]]})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "huge.json", "insertions": 1, "trials": 1, "seed": 1,
+        }))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (3, "")
+        assert "limit of 2**63" in stderr
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

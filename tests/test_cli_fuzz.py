@@ -9,7 +9,9 @@ symbols come with ell <= 1 and radius at most 2, so a ball has at most one
 point per symbol, and experiments run at most 20 trials of at most 3
 events of each kind unless an event or trial count is oversized (above the
 channel's step budget, up to 10^12), which the channel refuses before any
-work.
+work. Constructions ask for lengths up to 40, or for lengths whose code
+would have more codewords than the construction budget, which is refused
+before any codeword is built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simplexcode.channel import EXHAUSTIVE_PATTERN_BUDGET
+from simplexcode.codes import CONSTRUCT_WORD_BUDGET
 from simplexcode.cli import main
 
 FUZZ = settings(
@@ -144,6 +147,32 @@ def workdir(tmp_path_factory):
         (path / name).write_text(json.dumps(obj))
     (path / "junk.json").write_text("{oops")
     return path
+
+
+# A small length, or one whose binary code has more codewords than the
+# budget at every radius drawn (at most 5, a spacing of 11).
+CONSTRUCT_ELLS = st.one_of(st.integers(0, 40), st.integers(11 * CONSTRUCT_WORD_BUDGET, 10**30))
+
+
+@st.composite
+def construct_argv(draw, out):
+    opts = {
+        "--alphabet": draw(st.sampled_from(["2", "3"])),
+        "--ell": str(draw(CONSTRUCT_ELLS)),
+        "--e": str(draw(st.integers(0, 5))),
+        "--variant": str(draw(st.integers(0, 4))),
+    }
+    argv = ["construct"]
+    for name, value in draw(corrupted(opts, ARG_JUNK)).items():
+        argv += [name, value]
+    # Sometimes the output path is a directory, which cannot be written.
+    return argv + ["--out", str(out.parent if draw(RARELY) else out)]
+
+
+@FUZZ
+@given(data=st.data())
+def test_construct_argv(workdir, data):
+    assert_contract(data.draw(construct_argv(workdir / "built.json")))
 
 
 @FUZZ

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import bf_ball, bf_decode
 from simplexcode import (
     AmbiguousDecodeError,
+    BudgetExceededError,
     Code,
     SimplexSpace,
     ball_size,
@@ -26,6 +28,7 @@ from simplexcode import (
     min_distance,
     save_code,
 )
+from simplexcode import codes
 
 
 class TestCodeType:
@@ -92,6 +95,20 @@ class TestBinaryConstruction:
                     assert len(code) == math.ceil((ell + 1) / (2 * e + 1))
                     assert is_perfect(code, e)
                     assert min_distance(code) >= 2 * e + 1
+
+    def test_codeword_budget_is_checked_before_building(self, monkeypatch):
+        # ell = 10**9, e = 1 would be about 3.3 * 10**8 codewords.
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="333333334 codewords"):
+            construct_binary_perfect(10**9, 1)
+        with pytest.raises(BudgetExceededError, match="codewords"):
+            construct_binary_perfect(10**30, 2)
+        assert time.process_time() - start < 1.0
+        assert len(construct_binary_perfect(100_000, 7)) == 6667
+        monkeypatch.setattr(codes, "CONSTRUCT_WORD_BUDGET", 3)
+        assert len(construct_binary_perfect(8, 1)) == 3
+        with pytest.raises(BudgetExceededError, match="4 codewords, over the budget of 3"):
+            construct_binary_perfect(9, 1)
 
     def test_distinct_codes_per_m(self):
         for ell, e in [(7, 1), (12, 2), (31, 1)]:
