@@ -5,12 +5,12 @@ permutes the bag arbitrarily and may corrupt it with symbol substitutions,
 deletions, and insertions. The receiver sees only how often each symbol
 arrived, so the channel is modelled on count vectors alone: one event turns
 a count vector into another, each outcome weighted by the number of
-position-level events that produce it. Sampling draws every event
-uniformly below its total weight and picks the outcome arithmetically, in
-numpy passes over a (trials x symbols) count matrix; exhaustive mode pushes
-exact integer weights through the transition lists of all events. Both
-modes fill one histogram of (sent, received) count-vector pairs and decode
-each distinct received vector once, against a matrix of the codewords.
+position-level events that produce it. _event picks an event's outcome
+from a draw below its total weight: sampling applies it to a (trials x
+symbols) count matrix at uniform draws, exhaustive mode walks every state
+through all the draws run by run. Both modes fill one histogram of (sent,
+received) count-vector pairs and decode each distinct received vector
+once, against a matrix of the codewords.
 
 The receiver decodes the count vector against the code under the
 symmetric-difference metric: the unhalved L1 distance between count
@@ -95,53 +95,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _events(cfg: ChannelConfig) -> Iterator[str]:
-    """Event kinds in channel order: substitutions, deletions, insertions."""
+def _schedule(length: int, cfg: ChannelConfig, n: int) -> Iterator[tuple[str, int]]:
+    """(kind, total weight) of each event in channel order, starting at this
+    length: L*n for a substitution, L for a deletion, (L+1)(n+1) for an
+    insertion, with L the length before the event. The totals are the
+    factors of the position-level pattern count."""
+    after = length - cfg.deletions
     return chain(
-        repeat("substitution", cfg.substitutions),
-        repeat("deletion", cfg.deletions),
-        repeat("insertion", cfg.insertions),
+        repeat(("substitution", length * n), cfg.substitutions),
+        (("deletion", size) for size in range(length, after, -1)),
+        (("insertion", (after + k) * (n + 1)) for k in range(1, cfg.insertions + 1)),
     )
-
-
-def _event_totals(length: int, cfg: ChannelConfig, n: int) -> Iterator[int]:
-    """Total weight of each event in channel order, starting at this length.
-
-    A total depends only on the current length L: L*n for a substitution, L
-    for a deletion, (L+1)(n+1) for an insertion. The totals are the factors
-    of the position-level pattern count.
-    """
-    return chain(
-        repeat(length * n, cfg.substitutions),
-        range(length, length - cfg.deletions, -1),
-        ((length - cfg.deletions + k) * (n + 1) for k in range(1, cfg.insertions + 1)),
-    )
-
-
-def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
-    """Count vectors one event turns `counts` into, with integer weights.
-
-    A weight counts the position-level events giving that vector: counts[i]
-    for a substitution of symbol i by j != i or a deletion of i, and
-    sum(counts)+1 (one per slot) for an insertion of any symbol.
-    """
-    size = len(counts)
-    if kind == "insertion":
-        weight = sum(counts) + 1
-        return [(counts[:j] + (counts[j] + 1,) + counts[j + 1 :], weight) for j in range(size)]
-    out = []
-    for i, weight in enumerate(counts):
-        if weight:
-            less = counts[:i] + (weight - 1,) + counts[i + 1 :]
-            if kind == "deletion":
-                out.append((less, weight))
-            else:
-                out += [
-                    (less[:j] + (less[j] + 1,) + less[j + 1 :], weight)
-                    for j in range(size)
-                    if j != i
-                ]
-    return out
 
 
 def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int) -> None:
@@ -196,13 +160,13 @@ def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int
 def _check_patterns(length: int, cfg: ChannelConfig, n: int, words: int) -> None:
     """Reject exhaustive runs of more noise patterns than the budget.
 
-    The count is `words` times each event's total weight; once
-    _check_events has passed, every factor is >= 1, so the first partial
+    The count is `words` (within the budget once _check_events has passed)
+    times each event's total weight, every factor >= 1, so the first partial
     product over the budget decides without forming the whole count.
     """
-    patterns = 1
-    for factor in chain((words,), _event_totals(length, cfg, n)):
-        patterns *= factor
+    patterns = words
+    for _, total in _schedule(length, cfg, n):
+        patterns *= total
         if patterns > EXHAUSTIVE_PATTERN_BUDGET:
             raise BudgetExceededError(
                 "exhaustive mode would enumerate more noise patterns "
@@ -216,38 +180,39 @@ def _matrix(rows, bound: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64 if bound < _INT64_LIMIT else object)
 
 
-def _apply_events(counts: np.ndarray, draws: np.ndarray, cfg: ChannelConfig, length: int) -> None:
-    """Apply the configured events to every row of a C-contiguous count
-    matrix, in place.
+def _event(counts: np.ndarray, kind: str, r: np.ndarray, total: int) -> np.ndarray:
+    """Apply one event to every row of a C-contiguous count matrix, in place,
+    and return where each row's run of draws with the same outcome ends.
 
-    Column t of `draws` holds each row's draw below the total weight of
-    event t. A draw picks the transition whose cumulative weight range
-    holds it, in the order of _transitions, by arithmetic. With S_i the
-    sum of the counts before symbol i, symbol i owns the substitution
-    draws [n*S_i, n*(S_i + c_i)), c_i of them for each target j != i in
-    order, and the deletion draws [S_i, S_i + c_i); target j owns the
-    insertion draws [j*(L+1), (j+1)*(L+1)).
+    Each row's draw r (0 <= r < total) picks its outcome by arithmetic;
+    this is the one statement of the draw layout. With S_i the sum of the
+    counts before symbol i, symbol i owns the deletion draws
+    [S_i, S_i + c_i) and the substitution draws [n*S_i, n*(S_i + c_i)),
+    c_i of them for each target j != i in order; target j owns the
+    insertion draws [j*w, (j+1)*w), w = total // (n+1). So a run is as long
+    as the outcome's weight, and every run ends at or before `total`.
     """
     width = counts.shape[1]
     n = width - 1
     flat = counts.reshape(-1)
     base = np.arange(len(counts)) * width
-    for r, kind in zip(draws.T, _events(cfg)):
-        if kind == "insertion":
-            flat[base + r // (length + 1)] += 1
-            length += 1
-            continue
-        ends = counts.cumsum(axis=1)
-        slot = r // n if kind == "substitution" else r
-        i = (ends > slot[:, None]).argmax(axis=1)
-        at = base + i
-        had = flat[at]
-        flat[at] = had - 1
-        if kind == "substitution":
-            j = (r - n * (ends.reshape(-1)[at] - had)) // had
-            flat[base + j + (j >= i)] += 1
-        else:
-            length -= 1
+    if kind == "insertion":
+        w = total // width
+        j = r // w
+        flat[base + j] += 1
+        return (j + 1) * w
+    upto = counts.cumsum(axis=1)
+    i = (upto > (r // n if kind == "substitution" else r)[:, None]).argmax(axis=1)
+    at = base + i
+    had = flat[at]
+    flat[at] = had - 1
+    end = upto.reshape(-1)[at]
+    if kind == "deletion":
+        return end
+    start = n * (end - had)
+    j = (r - start) // had
+    flat[base + j + (j >= i)] += 1
+    return start + (j + 1) * had
 
 
 def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> Counter:
@@ -261,8 +226,9 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
     would leave it.
     """
     length = sum(words[0])
+    schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
-    bounds += _event_totals(length, cfg, len(words[0]) - 1)
+    bounds += [total for _, total in schedule]
     chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
     tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
     sent_rows = _matrix(words, length + cfg.insertions)
@@ -274,9 +240,43 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
         else:
             sent = np.arange(start, start + len(draws)) % len(words)
         counts = sent_rows[sent]
-        _apply_events(counts, draws, cfg, length)
+        for (kind, total), r in zip(schedule, draws.T):
+            _event(counts, kind, r, total)
         received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
     return received
+
+
+def _exhaustive_run(words, cfg: ChannelConfig) -> Counter:
+    """(sent codeword index, received count vector) -> the number of noise
+    patterns, and so of sampler draw sequences, that send one to the other.
+
+    Every (sent, state) row starts at draw 0 and takes one run of draws per
+    _event call until its run reaches the event's total; each outcome weighs
+    the state's weight times the run length, in exact integers."""
+    states: Counter = Counter({(index, word): 1 for index, word in enumerate(words)})
+    for kind, total in _schedule(sum(words[0]), cfg, len(words[0]) - 1):
+        keys, weights = list(states), list(states.values())
+        rows = np.array([counts for _, counts in keys], dtype=np.int64)
+        live, r = np.arange(len(keys)), np.zeros(len(keys), dtype=np.int64)
+        states = Counter()
+        while len(live):
+            counts = rows[live]
+            ends = _event(counts, kind, r, total)
+            runs = (ends - r).tolist()
+            for k, moved, run in zip(live.tolist(), map(tuple, counts.tolist()), runs):
+                states[keys[k][0], moved] += weights[k] * run
+            more = ends < total
+            live, r = live[more], ends[more]
+    return states
+
+
+def _count_vector(values) -> Point:
+    """`values` as Python ints: one or more Python or numpy integers >= 0, no bools."""
+    counts = tuple(values)
+    ok = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts)
+    if not counts or not all(ok):
+        raise ValueError(f"counts must be one or more integers >= 0, got {counts!r}")
+    return tuple(map(int, counts))
 
 
 def transmit(counts, cfg: ChannelConfig) -> Point:
@@ -287,9 +287,7 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     same way: a round-robin run's first trial receives
     transmit(code.codewords[0], cfg).
     """
-    sent = tuple(counts)
-    if not sent or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in sent):
-        raise ValueError(f"counts must be one or more nonnegative integers, got {sent!r}")
+    sent = _count_vector(counts)
     _check_events(sum(sent), cfg, len(sent) - 1, 1, 0)
     ((_, received),) = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
     return received
@@ -330,14 +328,11 @@ def decode_received(code: Code, received) -> tuple[Point, int]:
     in the simplex this agrees with nearest-codeword decoding, with scores
     exactly twice the half-L1 distances. Ties raise AmbiguousDecodeError.
     """
-    r = tuple(received)
+    r = _count_vector(received)
     if len(r) != code.space.n + 1:
         raise ValueError(
             f"count vector has {len(r)} entries, alphabet needs {code.space.n + 1}"
         )
-    if any(not isinstance(c, (int, np.integer)) or c < 0 for c in r):
-        raise ValueError(f"counts must be integers >= 0, got {r!r}")
-    r = tuple(map(int, r))
     ((index, best),) = _decode(code.codewords, [r], code.space.ell + sum(r))
     if index < 0:
         tied = [c for c in code.codewords if symmetric_difference(c, r) == best]
@@ -380,17 +375,9 @@ class ExperimentStats:
         return self.score_total / self.trials
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "ambiguous": self.ambiguous,
-            "errors": self.errors,
-            "success_rate": self.success_rate,
-            "ambiguous_rate": self.ambiguous_rate,
-            "error_rate": self.error_rate,
-            "mean_score": self.mean_score,
-            "exhaustive": self.exhaustive,
-        }
+        names = ("trials", "successes", "ambiguous", "errors", "success_rate",
+                 "ambiguous_rate", "error_rate", "mean_score", "exhaustive")
+        return {name: getattr(self, name) for name in names}
 
 
 def run_experiment(
@@ -408,12 +395,11 @@ def run_experiment(
     takes the next one) and then its noise.
 
     Exhaustive mode ignores `trials` and counts every position-level noise
-    pattern of the configured weights for every codeword: integer weights
-    are pushed through the events, and each received vector is counted once
-    per pattern leading to it. Each pattern is equally likely under
-    sampling, so the exhaustive rates are the exact expectations.
-    success_rate == 1.0 thus proves that no pattern of that weight can fool
-    the decoder.
+    pattern of the configured weights for every codeword: each received
+    vector is counted once per sequence of sampler draws leading to it.
+    Each such sequence is equally likely, so the exhaustive rates are the
+    exact expectations, and success_rate == 1.0 proves that no pattern of
+    that weight can fool the decoder.
 
     Either mode decodes each distinct received vector once.
     """
@@ -428,16 +414,7 @@ def run_experiment(
     _check_events(length, cfg, n, len(words) if exhaustive else trials, len(words))
     if exhaustive:
         _check_patterns(length, cfg, n, len(words))
-        received: Counter = Counter()
-        for index, sent in enumerate(words):
-            weights: Counter = Counter({sent: 1})
-            for kind in _events(cfg):
-                nxt: Counter = Counter()
-                for counts, weight in weights.items():
-                    for moved, ways in _transitions(counts, kind):
-                        nxt[moved] += weight * ways
-                weights = nxt
-            received.update({(index, counts): weight for counts, weight in weights.items()})
+        received = _exhaustive_run(words, cfg)
     else:
         received = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))
     # A score is at most ell plus the received length, itself at most ell + insertions.

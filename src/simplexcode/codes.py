@@ -10,6 +10,7 @@ ternary alphabets, and this module constructs all of them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations, count
 from pathlib import Path
@@ -28,6 +29,10 @@ from .simplex import (
 # construct_binary_perfect refuses to build more codewords than this: a
 # million take about 3 s and 300 MB to build and write out.
 CONSTRUCT_WORD_BUDGET = 1_000_000
+
+# is_perfect refuses to walk more point ids than this: two million take 0.3-1.4 s
+# and at most 190 MB on 2-7 symbols (an id costs about 3 us on 61 symbols).
+VERIFY_ID_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,14 @@ class PerfectnessResult:
         return f"not perfect: point {format_point(self.uncovered)} is uncovered"
 
 
+def _ball_bound(space: SimplexSpace, e: int) -> int:
+    """A closed-form bound on the size of a radius-e ball of the space: a ball
+    point moves each of its first n coordinates by at most r = min(e, ell),
+    and adds and removes at most r mass, each over n+1 coordinates."""
+    n, r = space.n, min(e, space.ell)
+    return min((2 * r + 1) ** n, math.comb(r + n + 1, n + 1) ** 2)
+
+
 def is_perfect(code: Code, e: int) -> PerfectnessResult:
     """Check that radius-e balls around the codewords partition the space.
 
@@ -169,9 +182,16 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     double-cover witness (p, earlier codeword, that codeword), where p is
     the lowest-id point of its ball that an earlier ball covers. Otherwise
     the witness is the first uncovered point in enumeration order.
+    Walks of more than VERIFY_ID_BUDGET ids, priced as min(space size,
+    codewords x _ball_bound), raise BudgetExceededError before they start.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
+    ids = min(code.space.size(), len(code.codewords) * _ball_bound(code.space, e))
+    if ids > VERIFY_ID_BUDGET:
+        raise BudgetExceededError(
+            f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
+        )
     owner: dict[int, Point] = {}
     for c in code.codewords:
         for j in ball_ids(c, e):

@@ -51,12 +51,11 @@ class SimplexSpace:
         return math.comb(self.n + self.ell, self.ell)
 
     def __contains__(self, coords) -> bool:
-        t = tuple(coords)
-        return (
-            len(t) == self.n + 1
-            and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in t)
-            and sum(t) == self.ell
-        )
+        try:
+            make_point(self, coords)
+        except ValueError:
+            return False
+        return True
 
 
 def make_point(space: SimplexSpace, coords: Iterable[int]) -> Point:

@@ -22,14 +22,19 @@ scalar_sampled_experiment are the sampler that drew one event at a time
 by walking its transition list, and the per-vector Python decoder, as a
 sampled run used them before the array sampler and the codeword-matrix
 decode replaced them; kept unchanged as the second channel oracle, they pin
-the array path's draws and outcomes.
+the array path's draws and outcomes. _events, _transitions and
+transition_dp_exhaustive are the per-event transition lists and the
+per-codeword Counter DP over them that exhaustive mode ran before it
+walked the sampler's own event pick (channel._event) run by run; kept
+unchanged, they are the second exhaustive oracle, and _sample walks the
+same lists.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
 from simplexcode import (
@@ -41,7 +46,7 @@ from simplexcode import (
     decode_received,
     enumerate_space,
 )
-from simplexcode.channel import _events, _rng, _transitions, symmetric_difference
+from simplexcode.channel import _rng, symmetric_difference
 
 SymbolSequence = tuple[int, ...]
 
@@ -356,6 +361,63 @@ def positional_exhaustive(code, cfg) -> ExperimentStats:
     return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive=True)
 
 
+def _events(cfg):
+    """Event kinds in channel order: substitutions, deletions, insertions."""
+    return chain(
+        repeat("substitution", cfg.substitutions),
+        repeat("deletion", cfg.deletions),
+        repeat("insertion", cfg.insertions),
+    )
+
+
+def _transitions(counts: Point, kind: str) -> list[tuple[Point, int]]:
+    """Count vectors one event turns `counts` into, with integer weights.
+
+    A weight counts the position-level events giving that vector: counts[i]
+    for a substitution of symbol i by j != i or a deletion of i, and
+    sum(counts)+1 (one per slot) for an insertion of any symbol.
+    """
+    size = len(counts)
+    if kind == "insertion":
+        weight = sum(counts) + 1
+        return [(counts[:j] + (counts[j] + 1,) + counts[j + 1 :], weight) for j in range(size)]
+    out = []
+    for i, weight in enumerate(counts):
+        if weight:
+            less = counts[:i] + (weight - 1,) + counts[i + 1 :]
+            if kind == "deletion":
+                out.append((less, weight))
+            else:
+                out += [
+                    (less[:j] + (less[j] + 1,) + less[j + 1 :], weight)
+                    for j in range(size)
+                    if j != i
+                ]
+    return out
+
+
+def transition_dp_exhaustive(code, cfg) -> ExperimentStats:
+    """Exhaustive-mode ExperimentStats from the Counter DP over _transitions.
+
+    Pushes a map from count vector to exact integer weight through each
+    event's transition list, one codeword at a time, then decodes each
+    distinct (sent, received) pair once with python_decode_received.
+    """
+    words = code.codewords
+    received: Counter = Counter()
+    for index, sent in enumerate(words):
+        weights: Counter = Counter({sent: 1})
+        for kind in _events(cfg):
+            nxt: Counter = Counter()
+            for counts, weight in weights.items():
+                for moved, ways in _transitions(counts, kind):
+                    nxt[moved] += weight * ways
+            weights = nxt
+        received.update({(index, counts): weight for counts, weight in weights.items()})
+    tally = Counter({(words[index], counts): weight for (index, counts), weight in received.items()})
+    return _stats(code, tally, exhaustive=True)
+
+
 def _sample(counts: Point, cfg, rng) -> Point:
     """Apply the configured events to a count vector, one draw per event.
 
@@ -411,6 +473,12 @@ def scalar_sampled_experiment(code, cfg, trials: int, codeword_selection: str = 
         else:
             sent = words[t % len(words)]
         received[sent, _sample(sent, cfg, rng)] += 1
+    return _stats(code, received, exhaustive=False)
+
+
+def _stats(code, received: Counter, *, exhaustive: bool) -> ExperimentStats:
+    """Tally (sent codeword, received vector) -> weight into ExperimentStats,
+    decoding each pair once with python_decode_received."""
     successes = ambiguous = errors = score_total = 0
     for (sent, counts), weight in received.items():
         try:
@@ -424,7 +492,8 @@ def scalar_sampled_experiment(code, cfg, trials: int, codeword_selection: str = 
             else:
                 errors += weight
         score_total += score * weight
-    return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive=False)
+    trials = sum(received.values())
+    return ExperimentStats(trials, successes, ambiguous, errors, score_total, exhaustive)
 
 
 def binomial_bounds(trials: int, num: int, den: int, tail: Fraction) -> tuple[int, int]:

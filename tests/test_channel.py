@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     positional_exhaustive,
     python_decode_received,
     scalar_sampled_experiment,
+    transition_dp_exhaustive,
 )
 
 from simplexcode import (
@@ -147,6 +149,18 @@ class TestTransmit:
         with pytest.raises(ValueError, match="count"):
             transmit(counts, ChannelConfig())
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+    def test_accepts_numpy_integer_counts(self, kind):
+        cfg = ChannelConfig(substitutions=1, insertions=1, seed=7)
+        got = transmit(np.array([5, 0, 2], dtype=kind), cfg)
+        assert got == transmit((5, 0, 2), cfg)
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("counts", [(5, False, 2), (np.True_, 0, 2), (5, 0, np.int64(-1))])
+    def test_rejects_bools_and_negative_numpy_counts(self, counts):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            transmit(counts, ChannelConfig())
+
     def test_received_vectors_follow_the_positional_patterns(self):
         # Every position-level pattern is equally likely, so each received
         # vector's frequency is binomial with the oracle's pattern share.
@@ -200,6 +214,18 @@ class TestDecodeReceived:
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(ValueError, match="integers"):
             decode_received(code, (4.5, 2, 1))
+
+    @pytest.mark.parametrize("counts", [(True, 0, 6), (4, np.False_, 1), (4, 2, np.int8(-1))])
+    def test_rejects_bools_and_negative_numpy_counts(self, counts):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            decode_received(construct_ternary_perfect(2, 2), counts)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+    def test_accepts_numpy_integer_counts(self, kind):
+        code = construct_ternary_perfect(2, 2)
+        word, score = decode_received(code, np.array([4, 2, 1], dtype=kind))
+        assert (word, score) == ((5, 0, 2), 4)
+        assert type(score) is int
 
     def test_exact_at_huge_lengths(self):
         # Scores reach 2**63 here, past int64; the decode switches to exact integers.
@@ -658,3 +684,61 @@ class TestAgainstScalarSampler:
             assert stats.mean_score == 0.0
         stats = run_experiment(code, ChannelConfig(substitutions=1, seed=4), 40)
         assert (stats.successes, stats.score_total) == (40, 80)
+
+
+def _random_codes(rnd: random.Random, count: int) -> list[Code]:
+    """Random codes of 1-4 codewords over n = 3..8 and small ell, perfect or not."""
+    out = []
+    for _ in range(count):
+        space = SimplexSpace(rnd.randint(3, 8), rnd.randint(0, 4))
+        points = list(enumerate_space(space))
+        out.append(Code(space, tuple(rnd.sample(points, min(len(points), rnd.randint(1, 4))))))
+    return out
+
+
+class TestAgainstTransitionDP:
+    """Exhaustive mode against the replaced Counter DP over transition lists,
+    and against every draw sequence of the sampler's event pick."""
+
+    def test_random_codes_match_the_replaced_dp(self):
+        codes = _random_codes(random.Random(9), 24)
+        # Ties: two codewords at equal distance from many received vectors.
+        codes += [Code(SimplexSpace(3, 2), ((2, 0, 0, 0), (0, 2, 0, 0))),
+                  Code(SimplexSpace(4, 2), ((1, 1, 0, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 2)))]
+        ties = compared = 0
+        for code in codes:
+            for subs, ins, dels in product(range(4), repeat=3):
+                if subs + ins + dels > 3:
+                    continue
+                cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
+                try:
+                    got = run_experiment(code, cfg, trials=1, exhaustive=True)
+                except (BudgetExceededError, ValueError):
+                    continue
+                assert got == transition_dp_exhaustive(code, cfg), (code, cfg)
+                compared += 1
+                ties += got.ambiguous > 0
+        assert compared > 300 and ties > 20
+
+    @pytest.mark.parametrize(
+        "code,noise",
+        [
+            (construct_ternary_perfect(1, 1), (2, 0, 0)),
+            (construct_ternary_perfect(1, 2), (1, 1, 1)),
+            (Code(SimplexSpace(3, 3), ((3, 0, 0, 0), (0, 1, 0, 2))), (1, 0, 2)),
+            (Code(SimplexSpace(1, 2), ((2, 0), (0, 2))), (0, 2, 1)),
+            (_unit_code(5), (1, 1, 0)),
+        ],
+    )
+    def test_weights_count_the_sampler_draws(self, code, noise):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
+        schedule = list(channel._schedule(code.space.ell, cfg, code.space.n))
+        draws: Counter = Counter()
+        for index, word in enumerate(code.codewords):
+            for seq in product(*(range(total) for _, total in schedule)):
+                counts = np.array([word], dtype=np.int64)
+                for (kind, total), r in zip(schedule, seq):
+                    channel._event(counts, kind, np.array([r]), total)
+                draws[index, tuple(counts[0].tolist())] += 1
+        assert channel._exhaustive_run(code.codewords, cfg) == draws

@@ -139,6 +139,22 @@ class TestVerify:
         assert stderr.startswith("error: invalid JSON in code file")
         assert "Traceback" not in stderr
 
+    def test_oversized_radius_exits_3_before_any_walk(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ball was walked")
+
+        path = tmp_path / "two.json"
+        big = 10**9
+        path.write_text(json.dumps({"n": 1, "ell": big, "e": 1, "codewords": [[big, 0], [0, big]]}))
+        with monkeypatch.context() as patched:
+            patched.setattr("simplexcode.codes.ball_ids", refuse)
+            code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "100000000")
+        assert (code, stdout) == (3, "")
+        assert "400000002 point ids, over the budget" in stderr
+        code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "1")
+        assert (code, stderr) == (1, "")
+        assert stdout == "not perfect: point [999999998,2] is uncovered\n"
+
     @pytest.mark.parametrize("drop_first", [False, True])
     def test_wide_alphabet_code_file(self, tmp_path, capsys, drop_first):
         # 1,201 symbols: more coordinates than the default recursion limit.

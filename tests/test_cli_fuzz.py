@@ -11,7 +11,12 @@ events of each kind unless an event or trial count is oversized (above the
 channel's step budget, up to 10^12), which the channel refuses before any
 work. Constructions ask for lengths up to 40, or for lengths whose code
 would have more codewords than the construction budget, which is refused
-before any codeword is built.
+before any codeword is built. Verification sometimes asks for a radius at
+or above the verify id budget, on the drawn code or on the two-word code of
+(1, 10^9), whose balls is_perfect prices and refuses before any walk.
+Sweeps run grids of at most 3 x 6 x 3 cells, or grids with a bound below 1
+or with more cells than the sweep's limit, which are refused before any
+cell is searched.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simplexcode.channel import EXHAUSTIVE_PATTERN_BUDGET
-from simplexcode.codes import CONSTRUCT_WORD_BUDGET
+from simplexcode.codes import CONSTRUCT_WORD_BUDGET, VERIFY_ID_BUDGET
 from simplexcode.cli import main
+from simplexcode.search import DEFAULT_POINT_BUDGET
 
 FUZZ = settings(
     max_examples=200,
@@ -49,6 +55,10 @@ JSON_JUNK = st.one_of(
 
 # Event and trial counts the channel's step budget refuses whatever the code.
 OVERSIZED = st.integers(EXHAUSTIVE_PATTERN_BUDGET + 1, 10**12)
+
+# Radii at or above the verify id budget: on the two-word code of (1, 10^9)
+# a ball alone would walk more ids than the budget.
+BIG_RADII = st.integers(VERIFY_ID_BUDGET, 10**30).map(str)
 
 # Deeper than the JSON decoder's recursion limit: an array and an object.
 NESTED = st.sampled_from(["[" * 200_000, '{"a": ' * 100_000 + "0" + "}" * 100_000])
@@ -142,6 +152,7 @@ def workdir(tmp_path_factory):
         "mono.json": {"n": 0, "ell": 3, "e": 0, "codewords": [[3]]},
         "empty.json": {"n": 2, "ell": 0, "e": 0, "codewords": [[0, 0, 0]]},
         "q5.json": {"n": 4, "ell": 2, "e": 1, "codewords": [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]},
+        "huge.json": {"n": 1, "ell": 10**9, "e": 1, "codewords": [[10**9, 0], [0, 10**9]]},
     }
     for name, obj in codes.items():
         (path / name).write_text(json.dumps(obj))
@@ -184,16 +195,50 @@ def test_search_argv(argv):
 @FUZZ
 @given(
     code=code_file(), e=st.integers(0, 3).map(str), bad_e=RARELY, junk_e=ARG_JUNK,
-    nest=RARELY, nested=NESTED,
+    big=RARELY, big_e=BIG_RADII, huge=RARELY, nest=RARELY, nested=NESTED,
 )
-def test_verify_code_files(workdir, code, e, bad_e, junk_e, nest, nested):
-    e = junk_e if bad_e else e
+def test_verify_code_files(workdir, code, e, bad_e, junk_e, big, big_e, huge, nest, nested):
     obj, n = code
-    if n > 7 and e.isdigit():
+    if n > 7:
         e = str(min(int(e), 2))
+    e = junk_e if bad_e else big_e if big else e
     path = workdir / "verify.json"
     path.write_text(nested if nest else json.dumps(obj))
+    if huge:
+        path = workdir / "huge.json"
     assert_contract(["verify", "--code", str(path), "--e", e])
+
+
+@st.composite
+def sweep_argv(draw):
+    """A small grid, or one with a bound below 1 or more cells than the limit."""
+    opts = {
+        "--n-max": draw(st.integers(1, 3)),
+        "--ell-max": draw(st.integers(1, 6)),
+        "--e-max": draw(st.integers(1, 3)),
+    }
+    shape = draw(st.sampled_from(["small"] * 3 + ["negative", "oversized"]))
+    if shape != "small":
+        key = draw(st.sampled_from(sorted(opts)))
+        if shape == "negative":
+            opts[key] = draw(st.integers(-(10**30), 0))
+        else:  # over the limit: the default point budget, as drawn budgets stay below 40
+            opts[key] = draw(st.integers(DEFAULT_POINT_BUDGET + 1, 10**30))
+    opts = {name: str(value) for name, value in opts.items()}
+    opts["--format"] = draw(st.sampled_from(["text", "tsv", "json"]))
+    argv = ["sweep"]
+    for name, value in draw(corrupted(opts, ARG_JUNK)).items():
+        argv += [name, value]
+    if draw(st.booleans()):
+        budget = draw(st.sampled_from(["-1", "x"])) if draw(RARELY) else str(draw(st.integers(0, 39)))
+        argv += ["--point-budget", budget]
+    return argv
+
+
+@FUZZ
+@given(argv=sweep_argv())
+def test_sweep_argv(argv):
+    assert_contract(argv)
 
 
 @st.composite

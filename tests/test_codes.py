@@ -205,6 +205,41 @@ class TestIsPerfect:
         assert not is_perfect(code, 1)
         assert not is_perfect(code, 3)
 
+    @pytest.mark.parametrize("n,ell", [(0, 3), (1, 9), (2, 7), (3, 6), (4, 4), (6, 3)])
+    def test_ball_bound_covers_every_ball(self, n, ell):
+        for e in range(ell + 2):
+            bound = codes._ball_bound(SimplexSpace(n, ell), e)
+            sizes = [ball_size(x, e) for x in enumerate_space(SimplexSpace(n, ell))]
+            assert max(sizes) <= bound, (n, ell, e)
+        # Exact for interior binary points: 2e+1.
+        assert codes._ball_bound(SimplexSpace(1, 10**9), 10**8) == 2 * 10**8 + 1
+
+    def test_walk_is_priced_before_it_starts(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ball was walked")
+
+        big = 10**9
+        code = Code(SimplexSpace(1, big), ((big, 0), (0, big)))
+        with monkeypatch.context() as patched:
+            patched.setattr(codes, "ball_ids", refuse)
+            with pytest.raises(BudgetExceededError, match="400000002 point ids"):
+                is_perfect(code, 10**8)
+        # Priced at min(space size, codewords x bound): 2 x 5 ids at e = 2,
+        # and the 36 points of the space for the ternary e=2 code at e = 3
+        # (3 x 49 ids would be more).
+        ternary = construct_ternary_perfect(2, 2)
+        for code, e, need in [(code, 2, 10), (ternary, 3, 36)]:
+            monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", need)
+            is_perfect(code, e)
+            monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", need - 1)
+            with pytest.raises(BudgetExceededError, match=f"{need} point ids"):
+                is_perfect(code, e)
+
+    def test_benchmark_verifies_fit_the_budget(self):
+        assert is_perfect(construct_binary_perfect(100_000, 7), 7)
+        assert not is_perfect(construct_binary_perfect(100_000, 7), 6)
+        assert is_perfect(construct_ternary_perfect(30, 1), 30)
+
 
 def pinned_witness(code, e):
     """The witness is_perfect must report, recomputed from brute-force balls.

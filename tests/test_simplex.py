@@ -70,6 +70,18 @@ class TestMakePoint:
         assert (5, 0, 3) not in space
         assert (5, 2) not in space
 
+    @pytest.mark.parametrize(
+        "coords", [(5, 0, 2), (5, 0, 3), (5, 2), (True, 4, 2), (5.0, 0, 2), (8, -1, 0), (7, 0, 0)]
+    )
+    def test_contains_follows_make_point(self, coords):
+        space = SimplexSpace(2, 7)
+        try:
+            make_point(space, coords)
+        except ValueError:
+            assert coords not in space
+        else:
+            assert coords in space
+
 
 class TestSpace:
     def test_sizes(self):
