@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import (
     Point,
     SimplexSpace,
-    ball_ids,
+    ball_runs,
     distance,
     format_point,
     make_point,
@@ -30,8 +32,10 @@ from .simplex import (
 # million take about 3 s and 300 MB to build and write out.
 CONSTRUCT_WORD_BUDGET = 1_000_000
 
-# is_perfect refuses to walk more point ids than this: two million take 0.3-1.4 s
-# and at most 190 MB on 2-7 symbols (an id costs about 3 us on 61 symbols).
+# is_perfect refuses to walk more point ids than this: two million ids of a binary
+# code take 1.0-1.8 s and at most 125 MB, the most when the last ball meets the one
+# before it and every id is sorted (a ball of one-id runs costs about 3 us an id on
+# 61 symbols).
 VERIFY_ID_BUDGET = 2_000_000
 
 
@@ -174,6 +178,14 @@ def _ball_bound(space: SimplexSpace, e: int) -> int:
     return min((2 * r + 1) ** n, math.comb(r + n + 1, n + 1) ** 2)
 
 
+def _by_start(starts: list[int], stops: list[int]):
+    """Runs [start, stop) sorted by start, and whether any two of them overlap."""
+    starts, stops = np.array(starts), np.array(stops)
+    order = np.argsort(starts)
+    start, stop = starts[order], stops[order]
+    return start, stop, bool((start[1:] < np.maximum.accumulate(stop[:-1])).any())
+
+
 def is_perfect(code: Code, e: int) -> PerfectnessResult:
     """Check that radius-e balls around the codewords partition the space.
 
@@ -184,25 +196,53 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     the witness is the first uncovered point in enumeration order.
     Walks of more than VERIFY_ID_BUDGET ids, priced as min(space size,
     codewords x _ball_bound), raise BudgetExceededError before they start.
+    The balls are walked as runs of consecutive ids. The walk stops soon
+    after two balls overlap, at the latest once they hold more ids than the
+    space, so it never holds more than twice the priced ids.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    ids = min(code.space.size(), len(code.codewords) * _ball_bound(code.space, e))
+    size = code.space.size()
+    ids = min(size, len(code.codewords) * _ball_bound(code.space, e))
     if ids > VERIFY_ID_BUDGET:
         raise BudgetExceededError(
             f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
         )
-    owner: dict[int, Point] = {}
-    for c in code.codewords:
-        for j in ball_ids(c, e):
-            prev = owner.get(j)
-            if prev is not None:
-                return PerfectnessResult(False, double_covered=(point_at(code.space, j), prev, c))
-            owner[j] = c
-    if len(owner) != code.space.size():
-        j = next(j for j in count() if j not in owner)
+    starts, stops, owners, walked, check = [], [], [], 0, min(1024, size + 1)
+    for w, c in enumerate(code.codewords):
+        for r in ball_runs(c, e):
+            starts.append(r.start)
+            stops.append(r.stop)
+            owners.append(w)
+            walked += len(r)
+        # Once two balls overlap, later balls cannot change the witness: look
+        # for an overlap at each doubling of the walked ids, and at the latest
+        # once the balls hold more ids than the space.
+        if walked >= check:
+            if _by_start(starts, stops)[2]:
+                break
+            check = min(2 * walked, size + 1)
+    start, stop, overlap = _by_start(starts, stops)
+    if not overlap:  # the first uncovered id opens the first gap
+        gaps = np.flatnonzero(start[1:] != stop[:-1])
+        j = 0 if start[0] else int(stop[gaps[0]] if len(gaps) else stop[-1])
+        if j == size:
+            return PerfectnessResult(True)
         return PerfectnessResult(False, uncovered=point_at(code.space, j))
-    return PerfectnessResult(True)
+    # Every walked id, tagged with its codeword: the stable sort keeps the
+    # tags of each id in canonical order, so an id's repeat follows an earlier ball.
+    starts, stops = np.array(starts), np.array(stops)
+    lengths = stops - starts
+    pts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pts += np.arange(len(pts))
+    tags = np.repeat(owners, lengths)
+    order = np.argsort(pts, kind="stable")
+    pts, tags = pts[order], tags[order]
+    repeat = np.flatnonzero(pts[1:] == pts[:-1]) + 1
+    w = tags[repeat].min()
+    k = repeat[tags[repeat] == w][0]
+    return PerfectnessResult(False, double_covered=(
+        point_at(code.space, int(pts[k])), code.codewords[tags[k - 1]], code.codewords[w]))
 
 
 def decode(code: Code, y: Point) -> tuple[Point, int]:

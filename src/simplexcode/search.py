@@ -28,7 +28,7 @@ from itertools import permutations
 
 from .codes import Code, count_binary_perfect, is_perfect
 from .errors import BudgetExceededError
-from .simplex import Point, SimplexSpace, ball_ids, enumerate_space, point_at
+from .simplex import Point, SimplexSpace, ball_runs, enumerate_space, point_at
 
 DEFAULT_POINT_BUDGET = 50_000
 
@@ -150,7 +150,7 @@ def _exact_covers(space: SimplexSpace, e: int, *, max_solutions: int, node_budge
             p = (~covered & (covered + 1)).bit_length() - 1
             if p not in starting:
                 starting[p] = [
-                    (c, sum(1 << (j - p) for j in ball_ids(c, e)), p)
+                    (c, sum(((1 << len(r)) - 1) << (r.start - p) for r in ball_runs(c, e)), p)
                     for c in _centers(point_at(space, p), e, spreads)
                 ]
             rest = covered >> p

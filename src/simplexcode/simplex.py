@@ -6,8 +6,8 @@ alphabet of n+1 symbols. The metric is half the L1 distance, which is
 integer-valued here because coordinate sums are equal.
 
 Points are numbered by their position in enumeration order (point_at maps
-an id back to its point), and ball_ids, which lists a ball as ascending
-ids, is the one place that decides ball membership.
+an id back to its point), and ball_runs, which lists a ball as ascending
+runs of consecutive ids, is the one place that decides ball membership.
 """
 
 from __future__ import annotations
@@ -127,51 +127,91 @@ def point_at(space: SimplexSpace, j: int) -> Point:
     return tuple(out) + (rest,)
 
 
-def ball_ids(x: Point, e: int) -> Iterator[int]:
-    """Ids (enumeration positions) of the points within distance e of x, ascending.
+def ball_runs(x: Point, e: int) -> Iterator[range]:
+    """The points within distance e of x as runs of consecutive ids (enumeration
+    positions): ascending, disjoint and maximal, so adjacent runs are merged.
 
     y is in the ball when the mass it adds to x (pos) and the mass it
     removes (neg) are at most e. The walk fixes y left to right, each coordinate from its
     largest admissible value down; every branch ends in a point of the ball.
-    A branch ends at once when no mass is left or pos = neg = e (the rest of
-    y is x's); while pos = e, y is 0 wherever x is, so it jumps past x's zeros.
+    A branch ends in one run when every way to finish y stays in the ball
+    (the points below a branch are consecutive ids), and in one point when
+    pos = neg = e (the rest of y is x's); while pos = e, y is 0 wherever x
+    is, so it jumps past x's zeros. The last free coordinate leaves one run
+    of ids per value of the one before it, so the last two are closed forms:
+    no branch goes below them.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
     n = len(x) - 1
+    if n < 2:  # one point, or y_0 alone decides y: one run, ids ell - y_0
+        c, ell = x[0], sum(x)
+        yield range(ell - min(ell, c + e), ell - max(0, c - e) + 1) if n else range(1)
+        return
     # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
-    # nonzero[i]: first j >= i with x[j] > 0, or n.
-    x_suf, nonzero, mass = [0] * (n + 1), [n] * (n + 1), x[n]
+    # low[i]: min of x[i:]; nonzero[i]: first j >= i with x[j] > 0, or n.
+    x_suf, low, nonzero, mass = [0] * (n + 1), [x[n]] * (n + 1), [n] * (n + 1), x[n]
     for i in range(n - 1, -1, -1):
+        c = x[i]
         x_suf[i] = x_suf[i + 1] + math.comb(mass - 1 + n - i, n - i)
-        nonzero[i] = i if x[i] else nonzero[i + 1]
-        mass += x[i]
+        low[i] = c if c < low[i + 1] else low[i + 1]
+        nonzero[i] = i if c else nonzero[i + 1]
+        mass += c
+    start = stop = 0  # the run being merged
     stack = [(0, mass, 0, 0, 0)]  # (coordinate, mass left, pos, neg, id so far)
     while stack:
         i, rest, pos, neg, acc = stack.pop()
-        if pos == neg == e:
-            yield acc + x_suf[i]
-        elif rest == 0 or i == n:
-            yield acc
+        k = n - i
+        if pos + rest - low[i] <= e:  # pos grows by at most rest - low[i]: all of it is in
+            lo, hi = acc, acc + math.comb(rest + k, k)
+        elif k == 2:  # per value v of y_i, y_{n-1} spans ids a - hi .. a - lo
+            c, d = x[i], x[i + 1]
+            for v in range(min(rest, c + e - pos), max(0, c - e + neg) - 1, -1):
+                r = rest - v
+                a = acc + r * (r + 3) // 2  # acc + C(r + 1, 2) + r
+                if v > c:
+                    lo, hi = a - min(r, d + e - pos - v + c), a - max(0, d - e + neg) + 1
+                else:
+                    lo, hi = a - min(r, d + e - pos), a - max(0, d - e + neg + c - v) + 1
+                if lo == stop:
+                    stop = hi
+                else:
+                    if stop:
+                        yield range(start, stop)
+                    start, stop = lo, hi
+            continue
+        elif pos == neg == e:
+            lo = acc + x_suf[i]
+            hi = lo + 1
         elif pos == e and not x[i]:
             j = nonzero[i]
-            skipped = math.comb(rest + n - i, n - i) - math.comb(rest + n - j, n - j)
-            stack.append((j, rest, pos, neg, acc + skipped))
-        else:
-            c, k = x[i], n - i
-            lo, hi = max(0, c - e + neg), min(rest, c + e - pos)
-            if k == 1:  # only the last coordinate follows: the ids are consecutive
-                yield from range(acc + rest - hi, acc + rest - lo + 1)
+            if j == n:  # y_n takes the rest: the last point below this branch
+                lo = acc + math.comb(rest + k, k) - 1
+                hi = lo + 1
+            else:
+                j = min(j, n - 2)
+                skipped = math.comb(rest + k, k) - math.comb(rest + n - j, n - j)
+                stack.append((j, rest, pos, neg, acc + skipped))
                 continue
-            for v in range(lo, hi + 1):
+        else:
+            c = x[i]
+            for v in range(max(0, c - e + neg), min(rest, c + e - pos) + 1):
                 stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
                               acc + math.comb(rest - v - 1 + k, k)))
+            continue
+        if lo == stop:
+            stop = hi
+        else:
+            if stop:
+                yield range(start, stop)
+            start, stop = lo, hi
+    yield range(start, stop)
 
 
 def ball(x: Point, e: int) -> set[Point]:
     """All points within distance e of x: the decoding region of x."""
     space = SimplexSpace(len(x) - 1, sum(x))
-    return {point_at(space, j) for j in ball_ids(x, e)}
+    return {point_at(space, j) for r in ball_runs(x, e) for j in r}
 
 
 def neighbors(x: Point) -> set[Point]:
@@ -181,7 +221,7 @@ def neighbors(x: Point) -> set[Point]:
 
 def ball_size(x: Point, e: int) -> int:
     """|ball(x, e)|, counted without building the points."""
-    return sum(1 for _ in ball_ids(x, e))
+    return sum(len(r) for r in ball_runs(x, e))
 
 
 def format_point(x: Point) -> str:

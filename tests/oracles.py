@@ -4,8 +4,13 @@ Everything here recomputes results from first principles (filtering the
 enumerated space, unpruned backtracking) and deliberately avoids the
 package's own neighbor/ball/decoder machinery, so agreement is meaningful.
 neighbors and ball are the breadth-first ball that the package used before
-the id walk (simplex.ball_ids) replaced it, kept unchanged as a second ball
-oracle; it costs about n^2 per ball point, so keep it to small alphabets.
+the id walk replaced it, kept unchanged as a second ball oracle; it costs
+about n^2 per ball point, so keep it to small alphabets. ball_ids is that
+id walk as it listed a ball one id at a time, before the walk learned to
+list runs of consecutive ids (simplex.ball_runs); kept unchanged, it pins
+the runs. dict_is_perfect is the perfectness check that recorded an owner
+per id in a dict over ball_ids, before is_perfect decided over sorted runs
+with numpy; kept unchanged, it pins results and witnesses.
 _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
 exact-cover oracle. _exact_covers is that bitset solver as it ran over a
@@ -34,19 +39,23 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, count, repeat
 from math import comb
+from typing import Iterator
 
 from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
+    Code,
     ExperimentStats,
+    PerfectnessResult,
     Point,
     SimplexSpace,
     decode_received,
     enumerate_space,
 )
 from simplexcode.channel import _rng, symmetric_difference
+from simplexcode.simplex import point_at
 
 SymbolSequence = tuple[int, ...]
 
@@ -104,6 +113,62 @@ def ball(x: Point, e: int) -> set[Point]:
             break
         seen |= frontier
     return seen
+
+
+def ball_ids(x: Point, e: int) -> Iterator[int]:
+    """Ids (enumeration positions) of the points within distance e of x, ascending.
+
+    y is in the ball when the mass it adds to x (pos) and the mass it
+    removes (neg) are at most e. The walk fixes y left to right, each coordinate from its
+    largest admissible value down; every branch ends in a point of the ball.
+    A branch ends at once when no mass is left or pos = neg = e (the rest of
+    y is x's); while pos = e, y is 0 wherever x is, so it jumps past x's zeros.
+    """
+    if e < 0:
+        raise ValueError(f"radius must be >= 0, got {e}")
+    n = len(x) - 1
+    # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
+    # nonzero[i]: first j >= i with x[j] > 0, or n.
+    x_suf, nonzero, mass = [0] * (n + 1), [n] * (n + 1), x[n]
+    for i in range(n - 1, -1, -1):
+        x_suf[i] = x_suf[i + 1] + comb(mass - 1 + n - i, n - i)
+        nonzero[i] = i if x[i] else nonzero[i + 1]
+        mass += x[i]
+    stack = [(0, mass, 0, 0, 0)]  # (coordinate, mass left, pos, neg, id so far)
+    while stack:
+        i, rest, pos, neg, acc = stack.pop()
+        if pos == neg == e:
+            yield acc + x_suf[i]
+        elif rest == 0 or i == n:
+            yield acc
+        elif pos == e and not x[i]:
+            j = nonzero[i]
+            skipped = comb(rest + n - i, n - i) - comb(rest + n - j, n - j)
+            stack.append((j, rest, pos, neg, acc + skipped))
+        else:
+            c, k = x[i], n - i
+            lo, hi = max(0, c - e + neg), min(rest, c + e - pos)
+            if k == 1:  # only the last coordinate follows: the ids are consecutive
+                yield from range(acc + rest - hi, acc + rest - lo + 1)
+                continue
+            for v in range(lo, hi + 1):
+                stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
+                              acc + comb(rest - v - 1 + k, k)))
+
+
+def dict_is_perfect(code: Code, e: int) -> PerfectnessResult:
+    """is_perfect's results and witnesses, from an owner per id in a dict (no budget)."""
+    owner: dict[int, Point] = {}
+    for c in code.codewords:
+        for j in ball_ids(c, e):
+            prev = owner.get(j)
+            if prev is not None:
+                return PerfectnessResult(False, double_covered=(point_at(code.space, j), prev, c))
+            owner[j] = c
+    if len(owner) != code.space.size():
+        j = next(j for j in count() if j not in owner)
+        return PerfectnessResult(False, uncovered=point_at(code.space, j))
+    return PerfectnessResult(True)
 
 
 def bf_decode(codewords, y):

@@ -147,7 +147,7 @@ class TestVerify:
         big = 10**9
         path.write_text(json.dumps({"n": 1, "ell": big, "e": 1, "codewords": [[big, 0], [0, big]]}))
         with monkeypatch.context() as patched:
-            patched.setattr("simplexcode.codes.ball_ids", refuse)
+            patched.setattr("simplexcode.codes.ball_runs", refuse)
             code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "100000000")
         assert (code, stdout) == (3, "")
         assert "400000002 point ids, over the budget" in stderr

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_ball, bf_decode
+from oracles import bf_ball, bf_decode, dict_is_perfect
 from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
@@ -29,6 +30,7 @@ from simplexcode import (
     save_code,
 )
 from simplexcode import codes
+from simplexcode.simplex import ball_runs
 
 
 class TestCodeType:
@@ -221,7 +223,7 @@ class TestIsPerfect:
         big = 10**9
         code = Code(SimplexSpace(1, big), ((big, 0), (0, big)))
         with monkeypatch.context() as patched:
-            patched.setattr(codes, "ball_ids", refuse)
+            patched.setattr(codes, "ball_runs", refuse)
             with pytest.raises(BudgetExceededError, match="400000002 point ids"):
                 is_perfect(code, 10**8)
         # Priced at min(space size, codewords x bound): 2 x 5 ids at e = 2,
@@ -234,6 +236,34 @@ class TestIsPerfect:
             monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", need - 1)
             with pytest.raises(BudgetExceededError, match=f"{need} point ids"):
                 is_perfect(code, e)
+
+    @pytest.mark.parametrize("n,ell,ys,e,balls", [
+        # 5,456 points at e = 5: the check after 1,024 ids finds the overlap.
+        (3, 30, None, 5, 12),
+        # The first two balls hold more ids than the space.
+        (1, 100, None, 50, 2),
+        # Disjoint balls up to id 1,100, then overlapping ones: the check after
+        # 1,026 ids finds none; the next comes once the balls outgrow the space.
+        (1, 1500, list(range(1, 1100, 3)) + list(range(1101, 1500)), 1, 501),
+    ])
+    def test_walk_stops_soon_after_two_balls_overlap(self, monkeypatch, n, ell, ys, e, balls):
+        space = SimplexSpace(n, ell)
+        if ys is None:  # every point of the space is a codeword
+            code = Code(space, tuple(enumerate_space(space)))
+        else:
+            code = Code(space, tuple((ell - y, y) for y in ys))
+        walked = []
+
+        def counting(x, r):
+            runs = list(ball_runs(x, r))
+            walked.append(sum(map(len, runs)))
+            return iter(runs)
+
+        expected = dict_is_perfect(code, e)
+        monkeypatch.setattr(codes, "ball_runs", counting)
+        assert is_perfect(code, e) == expected
+        assert len(walked) == balls
+        assert sum(walked[:-1]) <= space.size()
 
     def test_benchmark_verifies_fit_the_budget(self):
         assert is_perfect(construct_binary_perfect(100_000, 7), 7)
@@ -294,6 +324,98 @@ class TestWitnessRule:
         assert result.perfect == (kind == "perfect")
         assert result.double_covered == (witness if kind == "double" else None)
         assert result.uncovered == (witness if kind == "uncovered" else None)
+
+
+def perturbed(rng, code):
+    """code with one codeword moved by one unit of mass, dropped, or joined by a new point."""
+    words = list(code.codewords)
+    move = rng.randrange(3)
+    if move == 0 or len(words) == 1:
+        k = rng.randrange(len(words))
+        w = list(words[k])
+        src = rng.choice([i for i, v in enumerate(w) if v])
+        w[src] -= 1
+        w[rng.choice([i for i in range(len(w)) if i != src])] += 1
+        words[k] = tuple(w)
+    elif move == 1:
+        words.pop(rng.randrange(len(words)))
+    else:
+        words.append(tuple(reversed(words[rng.randrange(len(words))])))
+    return Code(code.space, tuple(set(words)))
+
+
+class TestAgainstOwnerDict:
+    """is_perfect decides over sorted runs; the replaced check kept an owner per id."""
+
+    def assert_same(self, code, e):
+        result = is_perfect(code, e)
+        assert result == dict_is_perfect(code, e), (code, e)
+        return result
+
+    def test_later_codewords_meet_different_earlier_ones(self):
+        rng = random.Random(4)
+        space = SimplexSpace(2, 12)
+        points = list(enumerate_space(space))
+        seen = 0
+        for _ in range(400):
+            code = Code(space, tuple(rng.sample(points, 6)))
+            e = rng.randint(1, 3)
+            # Pairs (earlier, later) of codewords whose balls meet.
+            balls = [bf_ball(space, c, e) for c in code.codewords]
+            meets = {(a, b) for b in range(6) for a in range(b) if balls[a] & balls[b]}
+            if len({b for _, b in meets}) >= 2 and len({a for a, _ in meets}) >= 2:
+                seen += 1
+                self.assert_same(code, e)
+        assert seen >= 50
+        # Each of the last four balls meets the one before it; (26,4) comes first.
+        code = Code(SimplexSpace(1, 30), ((30, 0), (26, 4), (20, 10), (17, 13), (24, 6)))
+        assert is_perfect(code, 2).double_covered == ((28, 2), (30, 0), (26, 4))
+        self.assert_same(code, 2)
+
+    def test_radius_zero(self):
+        for n, ell in [(0, 4), (1, 6), (2, 4), (3, 3)]:
+            space = SimplexSpace(n, ell)
+            points = list(enumerate_space(space))
+            self.assert_same(Code(space, tuple(points)), 0)
+            for drop in range(len(points)):
+                rest = points[:drop] + points[drop + 1:]
+                self.assert_same(Code(space, tuple(rest or points)), 0)
+
+    def test_one_codeword_swallows_the_space(self):
+        for n, ell in [(0, 3), (1, 5), (2, 3), (3, 2), (60, 1)]:
+            space = SimplexSpace(n, ell)
+            for x in list(enumerate_space(space))[:: max(1, space.size() // 7)]:
+                for e in (ell, ell + 3):
+                    code = Code(space, (x,))
+                    assert is_perfect(code, e)
+                    self.assert_same(code, e)
+
+    def test_only_the_last_point_is_missed(self):
+        # (8,1), (5,4), (2,7) at e = 1 cover (9,0) .. (1,8); (0,9) is left.
+        code = Code(SimplexSpace(1, 9), ((8, 1), (5, 4), (2, 7)))
+        assert is_perfect(code, 1).uncovered == (0, 9)
+        self.assert_same(code, 1)
+        space = SimplexSpace(2, 5)
+        code = Code(space, tuple(enumerate_space(space))[:-1])
+        assert is_perfect(code, 0).uncovered == (0, 0, 5)
+        self.assert_same(code, 0)
+
+    def test_perturbed_perfect_codes(self):
+        rng = random.Random(9)
+        bases = [construct_ternary_perfect(e, v) for e in (1, 2, 4) for v in (1, 2)]
+        for ell, e in [(20, 1), (31, 2), (60, 4)]:
+            last = count_binary_perfect(ell, e)
+            bases += [construct_binary_perfect(ell, e, m) for m in (1, last)]
+        kinds = set()
+        for base in bases:
+            e = base.radius_claim
+            assert self.assert_same(base, e)
+            for _ in range(30):
+                code = perturbed(rng, base)
+                for r in (e - 1, e, e + 1):
+                    result = self.assert_same(code, r)
+                    kinds.add((result.perfect, result.uncovered is None))
+        assert kinds == {(True, True), (False, True), (False, False)}
 
 
 class TestDecode:

@@ -27,7 +27,7 @@ from simplexcode import (
     verify_theorem_sweep,
 )
 from simplexcode.search import DEFAULT_POINT_BUDGET, _centers
-from simplexcode.simplex import ball_ids
+from simplexcode.simplex import ball_runs
 
 
 def found_sets(report):
@@ -141,7 +141,7 @@ class TestAgainstCoverMatrix:
     def test_same_choices_and_nodes(self, n, ell, e, max_solutions):
         space = SimplexSpace(n, ell)
         points = list(enumerate_space(space))
-        balls = [tuple(ball_ids(p, e)) for p in points]
+        balls = [tuple(j for r in ball_runs(p, e) for j in r) for p in points]
         expected, nodes = oracles._exact_covers(
             balls, max_solutions=max_solutions, node_budget=0
         )
@@ -155,7 +155,7 @@ class TestAgainstCoverMatrix:
                 for e in range(0, 5):
                     starting: list[list] = [[] for _ in points]
                     for c in points:
-                        starting[next(ball_ids(c, e))].append(c)
+                        starting[next(ball_runs(c, e)).start].append(c)
                     spreads: dict = {}
                     for p, centers in zip(points, starting):
                         assert _centers(p, e, spreads) == centers, (p, e)
@@ -167,9 +167,9 @@ class TestAgainstCoverMatrix:
 
         def counting(x, r):
             built.append(x)
-            return ball_ids(x, r)
+            return ball_runs(x, r)
 
-        monkeypatch.setattr(search, "ball_ids", counting)
+        monkeypatch.setattr(search, "ball_runs", counting)
         space = SimplexSpace(n, ell)
         assert enumerate_perfect_codes(SearchProblem(space, e)).solution_count == 0
         assert 0 < len(built) < space.size() / 10

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from simplexcode import (
     make_point,
     neighbors,
 )
-from simplexcode.simplex import ball_ids, point_at
+from simplexcode.simplex import ball_runs, point_at
 
 
 @st.composite
@@ -266,6 +267,11 @@ def enumeration_ids(n, ell):
     return {x: j for j, x in enumerate(enumerate_space(SimplexSpace(n, ell)))}
 
 
+def ball_ids(x, e):
+    """The ball walk's ids, one by one: its runs, flattened."""
+    return [j for r in ball_runs(x, e) for j in r]
+
+
 def walk_id(x):
     """x's id from the ball walk: the only id in its radius-0 ball."""
     (j,) = ball_ids(x, 0)
@@ -339,4 +345,65 @@ class TestBallIds:
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            list(ball_ids((3, 2, 2), -1))
+            list(ball_runs((3, 2, 2), -1))
+
+
+def assert_runs(runs, want):
+    """runs are ascending, disjoint, maximal (nonempty, gaps between them) and list want."""
+    assert all(len(r) and r.step == 1 for r in runs)
+    assert all(a.stop < b.start for a, b in zip(runs, runs[1:]))
+    assert [j for r in runs for j in r] == list(want)
+
+
+def bf_ids(points, x, e):
+    """Ids of the ball from every point's distance: points is the space in enumeration order."""
+    return np.flatnonzero(np.abs(points - np.array(x)).sum(axis=1) // 2 <= e).tolist()
+
+
+class TestBallRuns:
+    def test_every_center_of_small_spaces(self):
+        for n in range(0, 5):
+            for ell in range(0, 11):
+                points = np.array(list(enumerate_space(SimplexSpace(n, ell))))
+                for x in map(tuple, points.tolist()):
+                    for e in range(0, 5):
+                        want = bf_ids(points, x, e)
+                        assert list(oracles.ball_ids(x, e)) == want, (x, e)
+                        assert_runs(list(ball_runs(x, e)), want)
+
+    def test_binary_centers_of_a_large_space(self):
+        ell, e = 10**5, 7
+        points = np.array(list(enumerate_space(SimplexSpace(1, ell))))
+        rng = random.Random(11)
+        centers = [(ell, 0), (ell - 3, 3), (ell - 7, 7), (3, ell - 3), (0, ell)]
+        for x in centers + [random_point(rng, 1, ell) for _ in range(20)]:
+            want = bf_ids(points, x, e)
+            assert list(oracles.ball_ids(x, e)) == want, x
+            runs = list(ball_runs(x, e))
+            assert len(runs) == 1
+            assert_runs(runs, want)
+
+    def test_wide_alphabet_centers(self):
+        # Enumeration order on (n, ell) is the order of ell-symbol multisets
+        # (ascending symbol tuples) in combinations_with_replacement.
+        for n, ell in [(3, 4), (5, 3)]:
+            multisets = combinations_with_replacement(range(n + 1), ell)
+            assert [tuple(m.count(s) for s in range(n + 1)) for m in multisets] == list(
+                enumerate_space(SimplexSpace(n, ell))
+            )
+        n, ell = 60, 4
+        ys = np.array(list(combinations_with_replacement(range(n + 1), ell)))
+        # rank[:, k]: how many of ys[:, :k] equal ys[:, k] (the rows are sorted).
+        rank = np.zeros_like(ys)
+        for k in range(1, ell):
+            rank[:, k] = np.where(ys[:, k] == ys[:, k - 1], rank[:, k - 1] + 1, 0)
+        rng = random.Random(5)
+        centers = [(ell,) + (0,) * n, (0,) * n + (ell,), (1, 0, 2) + (0,) * (n - 3) + (1,)]
+        for x in centers + [random_point(rng, n, ell) for _ in range(2)]:
+            # The distance is ell minus the multisets' overlap.
+            dist = ell - (np.array(x)[ys] > rank).sum(axis=1)
+            for e in range(0, 5):
+                want = np.flatnonzero(dist <= e).tolist()
+                if len(want) < 10**5:  # the per-id walk costs about 2 us an id here
+                    assert list(oracles.ball_ids(x, e)) == want, (x, e)
+                assert_runs(list(ball_runs(x, e)), want)
