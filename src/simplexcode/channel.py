@@ -34,22 +34,26 @@ from .codes import Code
 from .errors import AmbiguousDecodeError, BudgetExceededError
 from .simplex import Point
 
-# Every run refuses to start above this many event steps (events times
-# codewords, trials or 1); exhaustive mode also refuses above this many
-# patterns, which bounds its integer weights and the `trials` it reports.
-EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
-
-# Work bounds in counts touched, checked before a run starts. Each event
-# takes one pass over the runs' count vectors, events x runs x symbols
-# counts, and an event pass costs at least as much as touching
-# _PASS_CELLS counts; a run without events still takes one pass (its
-# tally). Decoding compares up to runs x codewords x symbols counts, as a
-# sampled trial adds at most one distinct received vector (exhaustive
-# runs are bounded by their pattern count instead). Each budget admits a
-# few seconds of work on one core.
+# Budgets that _check_run prices before a run starts; each admits a few
+# seconds of work on one core. "Runs" are trials in sampling mode,
+# codewords in exhaustive mode and 1 for transmit. Each event takes one
+# pass over the runs' count vectors, priced at no fewer than _ROW_CELLS
+# counts a row (its draw and tally) and _PASS_CELLS a pass (numpy's
+# per-call cost); a run without events still takes one pass, its tally.
+# The row floor caps events x runs at EVENT_WORK_BUDGET // _ROW_CELLS.
 EVENT_WORK_BUDGET = 100_000_000
-DECODE_WORK_BUDGET = 1_000_000_000
 _PASS_CELLS = 512
+_ROW_CELLS = 50
+# Decoding compares up to runs x codewords x symbols counts, as a sampled
+# trial adds at most one distinct received vector (exhaustive runs are
+# bounded by their pattern count instead).
+DECODE_WORK_BUDGET = 1_000_000_000
+# Exhaustive mode's noise patterns (codewords times position-level
+# patterns), which bound its integer weights and the `trials` it reports.
+EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
+# Counts of the (sent, received) pairs a run holds, as tuples of about
+# 9 bytes a count.
+HELD_COUNT_BUDGET = 25_000_000
 
 # Trials are sampled, and received vectors decoded, in blocks of about this
 # many matrix entries, so memory stays flat on wide alphabets.
@@ -108,14 +112,17 @@ def _schedule(length: int, cfg: ChannelConfig, n: int) -> Iterator[tuple[str, in
     )
 
 
-def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int) -> None:
+def _check_run(
+    length: int, cfg: ChannelConfig, n: int, runs: int, words: int, exhaustive: bool = False
+) -> None:
     """Reject events that cannot act on a sequence of this length over n+1
-    symbols, and runs over the step or work budgets.
+    symbols, and runs over a budget, before any work.
 
     `runs` runs of the events are priced, decoding against `words`
-    codewords (0 when nothing is decoded). A run without events still costs
-    one step (its decode). Every event's total weight must fit a 64-bit
-    draw, so the error names it rather than numpy.
+    codewords (0 when nothing is decoded). The O(1) work prices come first,
+    so the checks after them walk at most EVENT_WORK_BUDGET // _PASS_CELLS
+    events. Every event's total weight must fit a 64-bit draw, so the error
+    names it rather than numpy.
     """
     if cfg.substitutions and n < 1:
         raise ValueError("substitution needs an alphabet with at least 2 symbols")
@@ -126,28 +133,12 @@ def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int
     if cfg.substitutions and length == 0:
         raise ValueError("cannot substitute into an empty sequence")
     events = cfg.substitutions + cfg.deletions + cfg.insertions
-    steps = max(events, 1) * runs
-    if steps > EXHAUSTIVE_PATTERN_BUDGET:
-        raise BudgetExceededError(
-            f"the run would take {steps} event steps, "
-            f"over the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
-        )
-    # The first substitution or deletion and the last insertion weigh the most.
-    heaviest = max(
-        length * n if cfg.substitutions else 0,
-        length if cfg.deletions else 0,
-        (length - cfg.deletions + cfg.insertions) * (n + 1) if cfg.insertions else 0,
-    )
-    if heaviest >= _INT64_LIMIT:
-        raise BudgetExceededError(
-            f"an event would choose among {heaviest} position-level events, "
-            "at or above the sampler's limit of 2**63"
-        )
-    work = max(events, 1) * max(runs * (n + 1), _PASS_CELLS)
+    work = max(events, 1) * max(runs * max(n + 1, _ROW_CELLS), _PASS_CELLS)
     if work > EVENT_WORK_BUDGET:
         raise BudgetExceededError(
-            f"the events would touch {work} counts (events x runs x symbols, "
-            f"at least {_PASS_CELLS} per event), over the budget of {EVENT_WORK_BUDGET}"
+            f"the events would touch {work} counts (events x runs x symbols, at least "
+            f"{_ROW_CELLS} per run and {_PASS_CELLS} per event), "
+            f"over the budget of {EVENT_WORK_BUDGET}"
         )
     work = runs * words * (n + 1)
     if work > DECODE_WORK_BUDGET:
@@ -155,23 +146,40 @@ def _check_events(length: int, cfg: ChannelConfig, n: int, runs: int, words: int
             f"decoding would compare {work} counts (runs x codewords x symbols), "
             f"over the budget of {DECODE_WORK_BUDGET}"
         )
-
-
-def _check_patterns(length: int, cfg: ChannelConfig, n: int, words: int) -> None:
-    """Reject exhaustive runs of more noise patterns than the budget.
-
-    The count is `words` (within the budget once _check_events has passed)
-    times each event's total weight, every factor >= 1, so the first partial
-    product over the budget decides without forming the whole count.
-    """
-    patterns = words
-    for _, total in _schedule(length, cfg, n):
-        patterns *= total
-        if patterns > EXHAUSTIVE_PATTERN_BUDGET:
-            raise BudgetExceededError(
-                "exhaustive mode would enumerate more noise patterns "
-                f"than the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
-            )
+    totals = [total for _, total in _schedule(length, cfg, n)]
+    weight = max(totals, default=0)
+    if weight >= _INT64_LIMIT:
+        raise BudgetExceededError(
+            f"an event would choose among {weight} position-level events, "
+            "at or above the sampler's limit of 2**63"
+        )
+    # A run holds at most one (sent, received) pair per run, or per pattern
+    # in exhaustive mode. Every pattern factor is >= 1, so the first partial
+    # product over the budget decides without forming the whole count.
+    pairs = runs
+    if exhaustive:
+        for total in totals:
+            pairs *= total
+            if pairs > EXHAUSTIVE_PATTERN_BUDGET:
+                raise BudgetExceededError(
+                    "exhaustive mode would enumerate more noise patterns "
+                    f"than the budget of {EXHAUSTIVE_PATTERN_BUDGET}"
+                )
+    # Nor more than codewords times the C(longest + n, n) count vectors of
+    # the longest length reached; C(longest + n, i) >= 2**i, so counting
+    # them up to `pairs` takes a few steps.
+    longest = max(length, length - cfg.deletions + cfg.insertions)
+    vectors = 1
+    for i in range(1, min(longest, n) + 1):
+        if vectors >= pairs:
+            break
+        vectors = vectors * (longest + n + 1 - i) // i
+    held = min(pairs, words * vectors) * (n + 1)
+    if held > HELD_COUNT_BUDGET:
+        raise BudgetExceededError(
+            f"the run would hold {held} counts ((sent, received) pairs x symbols), "
+            f"over the budget of {HELD_COUNT_BUDGET}"
+        )
 
 
 def _matrix(rows, bound: int) -> np.ndarray:
@@ -288,7 +296,7 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     transmit(code.codewords[0], cfg).
     """
     sent = _count_vector(counts)
-    _check_events(sum(sent), cfg, len(sent) - 1, 1, 0)
+    _check_run(sum(sent), cfg, len(sent) - 1, 1, 0)
     ((_, received),) = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
     return received
 
@@ -411,9 +419,8 @@ def run_experiment(
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
     length, n, words = code.space.ell, code.space.n, code.codewords
-    _check_events(length, cfg, n, len(words) if exhaustive else trials, len(words))
+    _check_run(length, cfg, n, len(words) if exhaustive else trials, len(words), exhaustive)
     if exhaustive:
-        _check_patterns(length, cfg, n, len(words))
         received = _exhaustive_run(words, cfg)
     else:
         received = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))

@@ -32,7 +32,11 @@ transition_dp_exhaustive are the per-event transition lists and the
 per-codeword Counter DP over them that exhaustive mode ran before it
 walked the sampler's own event pick (channel._event) run by run; kept
 unchanged, they are the second exhaustive oracle, and _sample walks the
-same lists.
+same lists. two_guard_check is the run check as two guards before the
+event-work price took in the step guard: a step guard on events x runs, a
+closed-form heaviest event weight, the work prices, then the pattern
+product in exhaustive mode; kept as the reference for which runs the
+channel refuses.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from simplexcode import (
     PerfectnessResult,
     Point,
     SimplexSpace,
+    channel,
     decode_received,
     enumerate_space,
 )
@@ -390,6 +395,37 @@ def count_noise_patterns(length: int, cfg, n: int) -> int:
         total *= (size + 1) * (n + 1)
         size += 1
     return total
+
+
+def two_guard_check(length: int, cfg, n: int, runs: int, words: int, exhaustive=False) -> None:
+    """Raise what the channel's run check raised before the step guard was
+    folded into the event-work price, at the channel's current budgets."""
+    if cfg.substitutions and n < 1:
+        raise ValueError("substitution needs an alphabet with at least 2 symbols")
+    if cfg.deletions > length:
+        raise ValueError(f"cannot delete {cfg.deletions} symbols from a sequence of length {length}")
+    if cfg.substitutions and length == 0:
+        raise ValueError("cannot substitute into an empty sequence")
+    events = cfg.substitutions + cfg.deletions + cfg.insertions
+    if max(events, 1) * runs > channel.EXHAUSTIVE_PATTERN_BUDGET:
+        raise BudgetExceededError("event steps")
+    heaviest = max(
+        length * n if cfg.substitutions else 0,
+        length if cfg.deletions else 0,
+        (length - cfg.deletions + cfg.insertions) * (n + 1) if cfg.insertions else 0,
+    )
+    if heaviest >= 2**63:
+        raise BudgetExceededError("weight")
+    if max(events, 1) * max(runs * (n + 1), channel._PASS_CELLS) > channel.EVENT_WORK_BUDGET:
+        raise BudgetExceededError("event work")
+    if runs * words * (n + 1) > channel.DECODE_WORK_BUDGET:
+        raise BudgetExceededError("decode work")
+    if exhaustive:
+        patterns = words
+        for _, total in channel._schedule(length, cfg, n):
+            patterns *= total
+            if patterns > channel.EXHAUSTIVE_PATTERN_BUDGET:
+                raise BudgetExceededError("patterns")
 
 
 def positional_exhaustive(code, cfg) -> ExperimentStats:

@@ -19,6 +19,7 @@ from oracles import (
     python_decode_received,
     scalar_sampled_experiment,
     transition_dp_exhaustive,
+    two_guard_check,
 )
 
 from simplexcode import (
@@ -204,6 +205,8 @@ class TestDecodeReceived:
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(ValueError, match="alphabet"):
             decode_received(code, (4, 2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            symmetric_difference((1, 2), (1, 2, 3))
 
     def test_negative_counts_rejected(self):
         code = construct_ternary_perfect(2, 2)
@@ -377,27 +380,31 @@ class TestRunExperiment:
         code = construct_ternary_perfect(2, 2)
         cfg = ChannelConfig(substitutions=10**9, seed=1)
         start = time.process_time()
-        with pytest.raises(BudgetExceededError, match="event steps"):
+        with pytest.raises(BudgetExceededError, match="the events would touch"):
             run_experiment(code, cfg, trials=1)
-        with pytest.raises(BudgetExceededError, match="event steps"):
+        with pytest.raises(BudgetExceededError, match="the events would touch"):
             transmit((5, 0, 2), cfg)
-        with pytest.raises(BudgetExceededError, match="event steps"):
+        with pytest.raises(BudgetExceededError, match="the events would touch"):
             run_experiment(code, ChannelConfig(seed=1), trials=10**12)
         assert time.process_time() - start < 1.0
 
     def test_event_steps_times_trials_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 12)
+        # Below _ROW_CELLS symbols every row of an event pass is priced at
+        # _ROW_CELLS counts: the events x trials are bounded whatever the code.
+        row = channel._ROW_CELLS
+        monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", 3 * 40 * row)
         code = construct_ternary_perfect(1, 1)
         cfg = ChannelConfig(substitutions=2, insertions=1, seed=3)
-        assert run_experiment(code, cfg, trials=4).trials == 4
-        with pytest.raises(BudgetExceededError, match="15 event steps"):
-            run_experiment(code, cfg, trials=5)
-        assert run_experiment(code, ChannelConfig(seed=3), trials=12).trials == 12
-        with pytest.raises(BudgetExceededError, match="13 event steps"):
-            run_experiment(code, ChannelConfig(seed=3), trials=13)
-        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 3)
+        assert run_experiment(code, cfg, trials=40).trials == 40
+        with pytest.raises(BudgetExceededError, match=f"touch {3 * 41 * row} counts"):
+            run_experiment(code, cfg, trials=41)
+        assert run_experiment(code, ChannelConfig(seed=3), trials=120).trials == 120
+        with pytest.raises(BudgetExceededError, match=f"touch {121 * row} counts"):
+            run_experiment(code, ChannelConfig(seed=3), trials=121)
+        # transmit is one run: each event pass is priced at _PASS_CELLS.
+        monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", 3 * channel._PASS_CELLS)
         assert sum(transmit((2, 1, 1), cfg)) == 5
-        with pytest.raises(BudgetExceededError, match="4 event steps"):
+        with pytest.raises(BudgetExceededError, match=f"touch {4 * channel._PASS_CELLS} counts"):
             transmit((2, 1, 1), ChannelConfig(substitutions=2, insertions=2))
 
     def test_event_weights_must_fit_a_64_bit_draw(self, monkeypatch):
@@ -422,13 +429,14 @@ class TestRunExperiment:
         assert sum(transmit((ell - 1, 0, 0), ChannelConfig(substitutions=1))) == ell - 1
 
     def test_event_work_is_bounded(self, monkeypatch):
-        # Events x runs x symbols, at least _PASS_CELLS per event; a run
-        # without events takes one pass.
-        code = construct_ternary_perfect(2, 2)
-        for cfg, trials, need in [
-            (ChannelConfig(substitutions=2, insertions=1, seed=3), 400, 3 * 400 * 3),
-            (ChannelConfig(seed=3), 1000, 1000 * 3),
-            (ChannelConfig(deletions=4, seed=3), 2, 4 * channel._PASS_CELLS),
+        # Events x runs x symbols, at least _ROW_CELLS per run and
+        # _PASS_CELLS per event; a run without events takes one pass.
+        ternary, wide, row = construct_ternary_perfect(2, 2), _unit_code(60), channel._ROW_CELLS
+        for code, cfg, trials, need in [
+            (ternary, ChannelConfig(substitutions=2, insertions=1, seed=3), 400, 3 * 400 * row),
+            (ternary, ChannelConfig(seed=3), 1000, 1000 * row),
+            (ternary, ChannelConfig(deletions=4, seed=3), 2, 4 * channel._PASS_CELLS),
+            (wide, ChannelConfig(substitutions=2, seed=3), 20, 2 * 20 * 61),
         ]:
             monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", need)
             assert run_experiment(code, cfg, trials).trials == trials
@@ -456,7 +464,89 @@ class TestRunExperiment:
             run_experiment(code, cfg, trials=2_000_000)
         with pytest.raises(BudgetExceededError, match="compare"):
             run_experiment(code, cfg, trials=1000)
+        # 10**4 trials of 10**4 counts: within both work prices, but the
+        # tally would hold 10**8 counts.
+        pair = Code(SimplexSpace(9999, 2), ((2,) + (0,) * 9999,))
+        with pytest.raises(BudgetExceededError, match="hold 100000000 counts"):
+            run_experiment(pair, cfg, trials=10**4)
         assert time.process_time() - start < 1.0
+
+    def test_held_counts_are_bounded(self, monkeypatch):
+        # min(trials or patterns, codewords x count vectors of the longest
+        # length) pairs of n+1 counts: the run is admitted at exactly that
+        # budget and refused at one less.
+        ternary, corners = construct_ternary_perfect(2, 2), _unit_code(20)
+        for code, cfg, trials, exhaustive, need in [
+            (corners, ChannelConfig(substitutions=1), 1, True, 21 * 20 * 21),
+            (ternary, ChannelConfig(substitutions=4), 1, True, 3 * 36 * 3),  # C(7+2, 2)
+            (corners, ChannelConfig(substitutions=1, seed=2), 100, False, 100 * 21),
+            (ternary, ChannelConfig(insertions=2, seed=2), 1000, False, 3 * 55 * 3),  # C(9+2, 2)
+        ]:
+            monkeypatch.setattr(channel, "HELD_COUNT_BUDGET", need)
+            run_experiment(code, cfg, trials, exhaustive=exhaustive)
+            monkeypatch.setattr(channel, "HELD_COUNT_BUDGET", need - 1)
+            with pytest.raises(BudgetExceededError, match=f"hold {need} counts"):
+                run_experiment(code, cfg, trials, exhaustive=exhaustive)
+
+    def test_run_check_refuses_what_two_guards_refused(self):
+        # The step guard (events x runs <= EXHAUSTIVE_PATTERN_BUDGET) is the
+        # event-work price's row floor: at the real budgets, the largest event
+        # count each check admits is the same around 195,312 events (the pass
+        # floor), events x runs = 2*10**6 (the old guard) and 50 symbols (the
+        # row floor). One substitution-only codeword of length 1 holds at most
+        # n+1 pairs, so the held counts stay far below their budget.
+        def refused(check, events, n, runs, words=1):
+            try:
+                check(1, ChannelConfig(substitutions=events), n, runs, words)
+            except BudgetExceededError:
+                return True
+            return False
+
+        def largest(check, n, runs, words=1):
+            lo, hi = -1, 2 * 10**6  # lo is admitted (or -1), hi refused
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if refused(check, mid, n, runs, words) else (mid, hi)
+            return lo
+
+        for n in (1, 48, 49, 50, 99):
+            for runs in (1, 10, 11, 40, 1000, 40_000, 2 * 10**6 // 50, 2 * 10**6):
+                events = largest(channel._check_run, n, runs)
+                assert events == largest(two_guard_check, n, runs), (n, runs)
+                for e in {max(events, 0), events + 1}:
+                    assert refused(channel._check_run, e, n, runs) == refused(
+                        two_guard_check, e, n, runs
+                    )
+        # Across the decode price, 2,000 words of 50 symbols.
+        for runs in (9_999, 10_000, 10_001):
+            assert largest(channel._check_run, 49, runs, 2000) == largest(
+                two_guard_check, 49, runs, 2000
+            )
+
+    def test_run_check_refuses_what_two_guards_refused_at_random(self):
+        # Random runs in both modes, weights up to the 2**63 limit: each
+        # refusal matches the old check's, apart from the held counts.
+        rng = random.Random(11)
+        for _ in range(1000):
+            n, words = rng.choice([1, 2, 12, 49, 50, 300]), rng.choice([1, 3, 200])
+            length = rng.choice([0, 1, 7, 2**62 // (n + 1), 2**62])
+            cfg = ChannelConfig(*(rng.choice([0, 0, 1, 3, 40, 60_000]) for _ in range(3)))
+            exhaustive = rng.random() < 0.5
+            runs = words if exhaustive else rng.choice([1, 40, 40_000, 2_000_000])
+            outcome = []
+            for check in (channel._check_run, two_guard_check):
+                try:
+                    check(length, cfg, n, runs, words, exhaustive)
+                    outcome.append(None)
+                except (ValueError, BudgetExceededError) as exc:
+                    outcome.append((type(exc), str(exc)))
+            new, old = outcome
+            if new and "would hold" in new[1]:
+                assert old is None
+            else:
+                assert (new and new[0]) == (old and old[0]), (n, words, length, cfg, runs)
+                if new and new[0] is ValueError:
+                    assert new == old
 
     def test_rates_sum_to_one(self):
         code = construct_ternary_perfect(1, 1)
@@ -531,17 +621,19 @@ class TestExhaustiveMode:
         assert time.process_time() - start < 1.0
 
     def test_event_steps_are_bounded(self, monkeypatch):
-        # On {(1,0),(0,1)} every event count gives 2 patterns; the work is the events.
-        monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", 10)
+        # On {(1,0),(0,1)} every event count gives 2 patterns; the work is the
+        # events, one pass each, priced at _PASS_CELLS.
+        monkeypatch.setattr(channel, "EVENT_WORK_BUDGET", 5 * channel._PASS_CELLS)
         code = Code(SimplexSpace(1, 1), ((1, 0), (0, 1)))
         stats = run_experiment(code, ChannelConfig(substitutions=5), trials=1, exhaustive=True)
         assert stats.trials == 2
-        with pytest.raises(BudgetExceededError, match="12 event steps"):
+        with pytest.raises(BudgetExceededError, match=f"touch {6 * channel._PASS_CELLS} counts"):
             run_experiment(code, ChannelConfig(substitutions=6), trials=1, exhaustive=True)
 
     def test_pattern_bound_matches_the_exact_count(self, monkeypatch):
-        # The run needs a budget of max(patterns, event steps): it runs at
-        # exactly that budget and refuses at one less.
+        # The run needs a pattern budget of its pattern count: it runs at
+        # exactly that budget and refuses at one less, also where the events
+        # outnumber the patterns.
         ternary, binary = construct_ternary_perfect(2, 2), construct_binary_perfect(60, 1, 1)
         quaternary = Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3)))
         unit = Code(SimplexSpace(1, 1), ((1, 0), (0, 1)))
@@ -551,27 +643,34 @@ class TestExhaustiveMode:
             (quaternary, ChannelConfig(deletions=5, insertions=4)),
             (unit, ChannelConfig(substitutions=40)),
         ]:
-            words = len(code.codewords)
-            patterns = count_noise_patterns(code.space.ell, cfg, code.space.n) * words
-            steps = (cfg.substitutions + cfg.deletions + cfg.insertions) * words
-            need = max(patterns, steps)
+            need = count_noise_patterns(code.space.ell, cfg, code.space.n) * len(code.codewords)
             monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", need)
-            assert run_experiment(code, cfg, trials=1, exhaustive=True).trials == patterns
+            assert run_experiment(code, cfg, trials=1, exhaustive=True).trials == need
             monkeypatch.setattr(channel, "EXHAUSTIVE_PATTERN_BUDGET", need - 1)
-            refused = "patterns" if patterns > steps else "event steps"
-            with pytest.raises(BudgetExceededError, match=refused):
+            with pytest.raises(BudgetExceededError, match="patterns"):
                 run_experiment(code, cfg, trials=1, exhaustive=True)
 
-    def test_sampling_mode_does_not_count_patterns(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("sampling mode counted patterns")
-
-        monkeypatch.setattr(channel, "_check_patterns", refuse)
+    def test_sampling_mode_does_not_count_patterns(self):
+        # 3 * 14**40 patterns: exhaustive mode refuses them, sampling runs.
         code = construct_ternary_perfect(2, 2)
-        stats = run_experiment(code, ChannelConfig(substitutions=3, seed=1), trials=5)
-        assert stats.trials == 5
+        cfg = ChannelConfig(substitutions=40, seed=1)
+        with pytest.raises(BudgetExceededError, match="patterns"):
+            run_experiment(code, cfg, trials=5, exhaustive=True)
+        assert run_experiment(code, cfg, trials=5).trials == 5
         with pytest.raises(ValueError, match="cannot delete 8"):
             run_experiment(code, ChannelConfig(deletions=8), trials=5)
+
+    def test_wide_alphabet_runs_are_priced(self, monkeypatch):
+        # One substitution on the corner code of (n, 1) holds about n**3
+        # counts: n = 200 runs, n = 999 is refused before any event.
+        cfg = ChannelConfig(substitutions=1)
+        assert run_experiment(_unit_code(200), cfg, 1, exhaustive=True).trials == 201 * 200
+        code = _unit_code(999)
+        monkeypatch.setattr(channel, "_event", _refuse_draws)
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="hold 999000000 counts"):
+            run_experiment(code, cfg, 1, exhaustive=True)
+        assert time.process_time() - start < 1.0
 
     def test_mixed_noise_keeps_cardinality_bookkeeping(self):
         code = construct_ternary_perfect(1, 1)

@@ -342,6 +342,23 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
 
+    def test_config_without_code_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 10, "seed": 1}))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert "config is missing code_file" in stderr
+
+    def test_non_list_codeword_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(
+            json.dumps({"n": 1, "ell": 5, "e": None, "codewords": [5]})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": "bad.json", "trials": 10, "seed": 1}))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert "each codeword must be a list of integers" in stderr
+
     @pytest.mark.parametrize("codewords", [
         [[5, 0, 2], [2, 5, 0], [0, 2, 5]],  # the ternary e=2 code
         [[1, 0], [0, 1]],  # binary, ell = 1: one pattern per event
@@ -374,7 +391,7 @@ class TestSimulate:
         assert time.process_time() - start < 1.0
         assert code == 3
         assert stdout == ""
-        assert "event steps" in stderr
+        assert "the events would touch" in stderr
 
     def test_wide_alphabet_run_exits_3_at_once(self, tmp_path, capsys):
         # 2,000,000 trials on the 1,001 corners of (1000, 1): the events would
@@ -391,6 +408,24 @@ class TestSimulate:
         code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
         assert (code, stdout) == (3, "")
         assert "counts" in stderr and "over the budget" in stderr
+
+    def test_wide_alphabet_exhaustive_run_exits_3_at_once(self, tmp_path, capsys):
+        # One substitution on the 1,000 corners of (999, 1): 999,000 patterns
+        # of 1,000 counts each, over the held-counts budget.
+        n = 999
+        words = [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+        (tmp_path / "unit.json").write_text(
+            json.dumps({"n": n, "ell": 1, "e": 0, "codewords": words})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "unit.json", "substitutions": 1, "exhaustive": True,
+        }))
+        start = time.process_time()
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert time.process_time() - start < 1.0
+        assert (code, stdout) == (3, "")
+        assert "hold 999000000 counts" in stderr
 
     def test_event_weight_over_int64_exits_3(self, tmp_path, capsys):
         ell = 2**62

@@ -7,9 +7,9 @@ decoder's recursion limit. Alphabets reach 1,501 symbols. Work stays
 bounded: searches pass a point budget below 40, alphabets wider than 8
 symbols come with ell <= 1 and radius at most 2, so a ball has at most one
 point per symbol, and experiments run at most 20 trials of at most 3
-events of each kind unless an event or trial count is oversized (above the
-channel's step budget, up to 10^12), which the channel refuses before any
-work. Constructions ask for lengths up to 40, or for lengths whose code
+events of each kind unless an event or trial count is oversized (above
+2*10^6, up to 10^12), which the channel's event-work price refuses before
+any work. Constructions ask for lengths up to 40, or for lengths whose code
 would have more codewords than the construction budget, which is refused
 before any codeword is built. Verification sometimes asks for a radius at
 or above the verify id budget, on the drawn code or on the two-word code of
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from simplexcode.channel import EXHAUSTIVE_PATTERN_BUDGET
+from simplexcode.channel import _ROW_CELLS, EVENT_WORK_BUDGET
 from simplexcode.codes import CONSTRUCT_WORD_BUDGET, VERIFY_ID_BUDGET
 from simplexcode.cli import main
 from simplexcode.search import DEFAULT_POINT_BUDGET
@@ -53,8 +53,10 @@ JSON_JUNK = st.one_of(
     st.floats(allow_nan=False), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
 )
 
-# Event and trial counts the channel's step budget refuses whatever the code.
-OVERSIZED = st.integers(EXHAUSTIVE_PATTERN_BUDGET + 1, 10**12)
+# Event and trial counts the event-work price refuses whatever the code: it
+# prices an event pass at 512 counts or more and each of its rows at 50 or
+# more, so more than 2*10**6 events, or trials, cost over 10**8 counts.
+OVERSIZED = st.integers(EVENT_WORK_BUDGET // _ROW_CELLS + 1, 10**12)
 
 # Radii at or above the verify id budget: on the two-word code of (1, 10^9)
 # a ball alone would walk more ids than the budget.
