@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .channel import ChannelConfig, run_experiment
 from .codes import (
+    _read_json,
     construct_binary_perfect,
     construct_ternary_perfect,
     is_perfect,
@@ -42,8 +43,6 @@ def _cmd_construct(args) -> int:
             raise ValueError("--ell is required for --alphabet 2")
         code = construct_binary_perfect(args.ell, args.e, args.variant)
     else:
-        if args.variant not in (1, 2):
-            raise ValueError(f"variant must be 1 or 2 for --alphabet 3, got {args.variant}")
         expected_ell = 3 * args.e + 1
         if args.ell is not None and args.ell != expected_ell:
             raise ValueError(
@@ -117,10 +116,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_experiment_config(path: Path) -> dict:
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON in config file {path}: {exc}") from exc
+    obj = _read_json(path, "config")
     if not isinstance(obj, dict):
         raise ValueError("experiment config must be a JSON object")
     return obj

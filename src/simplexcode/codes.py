@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -33,9 +34,9 @@ from .simplex import (
 CONSTRUCT_WORD_BUDGET = 1_000_000
 
 # is_perfect refuses to walk more point ids than this: two million ids of a binary
-# code take 1.0-1.8 s and at most 125 MB, the most when the last ball meets the one
-# before it and every id is sorted (a ball of one-id runs costs about 3 us an id on
-# 61 symbols).
+# code take 0.2-0.3 s and 11-14 MB, whether the code is perfect or its last balls
+# overlap. One-id runs cost the most, 2.5-3.8 us an id: on 61 symbols at e = 1 the
+# 520 codewords admitted walk 0.54M ids in 1.3-2.0 s and 71 MB.
 VERIFY_ID_BUDGET = 2_000_000
 
 
@@ -178,12 +179,12 @@ def _ball_bound(space: SimplexSpace, e: int) -> int:
     return min((2 * r + 1) ** n, math.comb(r + n + 1, n + 1) ** 2)
 
 
-def _by_start(starts: list[int], stops: list[int]):
-    """Runs [start, stop) sorted by start, and whether any two of them overlap."""
-    starts, stops = np.array(starts), np.array(stops)
+def _by_start(starts, stops):
+    """Runs sorted by start, their order, and whether two overlap: one ends past the next start."""
+    starts, stops = np.asarray(starts), np.asarray(stops)
     order = np.argsort(starts)
     start, stop = starts[order], stops[order]
-    return start, stop, bool((start[1:] < np.maximum.accumulate(stop[:-1])).any())
+    return start, stop, order, bool((start[1:] < stop[:-1]).any())
 
 
 def is_perfect(code: Code, e: int) -> PerfectnessResult:
@@ -196,7 +197,7 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     the witness is the first uncovered point in enumeration order.
     Walks of more than VERIFY_ID_BUDGET ids, priced as min(space size,
     codewords x _ball_bound), raise BudgetExceededError before they start.
-    The balls are walked as runs of consecutive ids. The walk stops soon
+    The walk holds runs of consecutive ids, never single ids. It stops soon
     after two balls overlap, at the latest once they hold more ids than the
     space, so it never holds more than twice the priced ids.
     """
@@ -208,41 +209,40 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
         raise BudgetExceededError(
             f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
         )
-    starts, stops, owners, walked, check = [], [], [], 0, min(1024, size + 1)
-    for w, c in enumerate(code.codewords):
+    starts, stops, ends, walked, check = [], [], [], 0, min(1024, size + 1)
+    for c in code.codewords:
         for r in ball_runs(c, e):
             starts.append(r.start)
             stops.append(r.stop)
-            owners.append(w)
             walked += len(r)
+        ends.append(len(starts))  # the runs of codewords 0..w are starts[:ends[w]]
         # Once two balls overlap, later balls cannot change the witness: look
         # for an overlap at each doubling of the walked ids, and at the latest
         # once the balls hold more ids than the space.
         if walked >= check:
-            if _by_start(starts, stops)[2]:
+            if _by_start(starts, stops)[3]:
                 break
             check = min(2 * walked, size + 1)
-    start, stop, overlap = _by_start(starts, stops)
+    starts, stops = np.array(starts), np.array(stops)
+    start, stop, _, overlap = _by_start(starts, stops)
     if not overlap:  # the first uncovered id opens the first gap
         gaps = np.flatnonzero(start[1:] != stop[:-1])
         j = 0 if start[0] else int(stop[gaps[0]] if len(gaps) else stop[-1])
         if j == size:
             return PerfectnessResult(True)
         return PerfectnessResult(False, uncovered=point_at(code.space, j))
-    # Every walked id, tagged with its codeword: the stable sort keeps the
-    # tags of each id in canonical order, so an id's repeat follows an earlier ball.
-    starts, stops = np.array(starts), np.array(stops)
-    lengths = stops - starts
-    pts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    pts += np.arange(len(pts))
-    tags = np.repeat(owners, lengths)
-    order = np.argsort(pts, kind="stable")
-    pts, tags = pts[order], tags[order]
-    repeat = np.flatnonzero(pts[1:] == pts[:-1]) + 1
-    w = tags[repeat].min()
-    k = repeat[tags[repeat] == w][0]
+    # w: the first codeword whose ball meets an earlier one (then so do all later prefixes).
+    w = bisect_left(range(len(ends)), True,
+                    key=lambda v: _by_start(starts[:ends[v]], stops[:ends[v]])[3])
+    start, stop, order, _ = _by_start(starts[:ends[w - 1]], stops[:ends[w - 1]])
+    a, b = starts[ends[w - 1]:ends[w]], stops[ends[w - 1]:ends[w]]
+    # Earlier runs are disjoint: only the first to stop after a run [a, b) of w starts can
+    # hold their lowest shared id (a start of size: none). w's runs ascend: the first hit holds p.
+    k = np.searchsorted(stop, a, side="right")
+    hit = np.flatnonzero(np.append(start, size)[k] < b)[0]
+    p, earlier = max(a[hit], start[k[hit]]), np.searchsorted(ends, order[k[hit]], side="right")
     return PerfectnessResult(False, double_covered=(
-        point_at(code.space, int(pts[k])), code.codewords[tags[k - 1]], code.codewords[w]))
+        point_at(code.space, int(p)), code.codewords[earlier], code.codewords[w]))
 
 
 def decode(code: Code, y: Point) -> tuple[Point, int]:
@@ -296,9 +296,12 @@ def save_code(code: Code, path) -> None:
     Path(path).write_text(dumps_code(code), encoding="utf-8")
 
 
-def load_code(path) -> Code:
+def _read_json(path, kind: str):
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON in code file {path}: {exc}") from exc
-    return code_from_dict(obj)
+        raise ValueError(f"invalid JSON in {kind} file {path}: {exc}") from exc
+
+
+def load_code(path) -> Code:
+    return code_from_dict(_read_json(path, "code"))

@@ -266,7 +266,10 @@ class SweepCell:
     e: int
     predicted: int
     found: int | None  # None when the cell was skipped over budget
-    skipped: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.found is None
 
     @property
     def agree(self) -> bool | None:
@@ -347,9 +350,7 @@ def verify_theorem_sweep(
                     )
                     report = enumerate_perfect_codes(problem)
                 except (BudgetExceededError, OverflowError):
-                    cells.append(SweepCell(n, ell, e, predicted, None, True))
+                    cells.append(SweepCell(n, ell, e, predicted, None))
                 else:
-                    cells.append(
-                        SweepCell(n, ell, e, predicted, report.solution_count, False)
-                    )
+                    cells.append(SweepCell(n, ell, e, predicted, report.solution_count))
     return SweepReport(tuple(cells))

@@ -11,6 +11,10 @@ list runs of consecutive ids (simplex.ball_runs); kept unchanged, it pins
 the runs. dict_is_perfect is the perfectness check that recorded an owner
 per id in a dict over ball_ids, before is_perfect decided over sorted runs
 with numpy; kept unchanged, it pins results and witnesses.
+expanded_is_perfect is is_perfect as it found its double-cover witness by
+spelling every walked ball out id by id and stably sorting the ids, before
+it read the witness off the sorted runs; kept unchanged apart from the
+budget, it is the second perfectness oracle.
 _ExactCover is the dict-of-sets Algorithm X solver that the package's
 search ran before the bitset solver replaced it, kept unchanged as a second
 exact-cover oracle. _exact_covers is that bitset solver as it ran over a
@@ -47,6 +51,8 @@ from itertools import chain, combinations, count, repeat
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
@@ -60,7 +66,7 @@ from simplexcode import (
     enumerate_space,
 )
 from simplexcode.channel import _rng, symmetric_difference
-from simplexcode.simplex import point_at
+from simplexcode.simplex import ball_runs, point_at
 
 SymbolSequence = tuple[int, ...]
 
@@ -175,6 +181,57 @@ def dict_is_perfect(code: Code, e: int) -> PerfectnessResult:
         return PerfectnessResult(False, uncovered=point_at(code.space, j))
     return PerfectnessResult(True)
 
+
+
+def _by_start(starts: list[int], stops: list[int]):
+    """Runs [start, stop) sorted by start, and whether any two of them overlap."""
+    starts, stops = np.array(starts), np.array(stops)
+    order = np.argsort(starts)
+    start, stop = starts[order], stops[order]
+    return start, stop, bool((start[1:] < np.maximum.accumulate(stop[:-1])).any())
+
+
+def expanded_is_perfect(code: Code, e: int) -> PerfectnessResult:
+    """is_perfect's results and witnesses, from the same walk over runs, with the
+    double-cover witness read off every walked id after a stable sort (no budget)."""
+    if e < 0:
+        raise ValueError(f"radius must be >= 0, got {e}")
+    size = code.space.size()
+    starts, stops, owners, walked, check = [], [], [], 0, min(1024, size + 1)
+    for w, c in enumerate(code.codewords):
+        for r in ball_runs(c, e):
+            starts.append(r.start)
+            stops.append(r.stop)
+            owners.append(w)
+            walked += len(r)
+        # Once two balls overlap, later balls cannot change the witness: look
+        # for an overlap at each doubling of the walked ids, and at the latest
+        # once the balls hold more ids than the space.
+        if walked >= check:
+            if _by_start(starts, stops)[2]:
+                break
+            check = min(2 * walked, size + 1)
+    start, stop, overlap = _by_start(starts, stops)
+    if not overlap:  # the first uncovered id opens the first gap
+        gaps = np.flatnonzero(start[1:] != stop[:-1])
+        j = 0 if start[0] else int(stop[gaps[0]] if len(gaps) else stop[-1])
+        if j == size:
+            return PerfectnessResult(True)
+        return PerfectnessResult(False, uncovered=point_at(code.space, j))
+    # Every walked id, tagged with its codeword: the stable sort keeps the
+    # tags of each id in canonical order, so an id's repeat follows an earlier ball.
+    starts, stops = np.array(starts), np.array(stops)
+    lengths = stops - starts
+    pts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pts += np.arange(len(pts))
+    tags = np.repeat(owners, lengths)
+    order = np.argsort(pts, kind="stable")
+    pts, tags = pts[order], tags[order]
+    repeat = np.flatnonzero(pts[1:] == pts[:-1]) + 1
+    w = tags[repeat].min()
+    k = repeat[tags[repeat] == w][0]
+    return PerfectnessResult(False, double_covered=(
+        point_at(code.space, int(pts[k])), code.codewords[tags[k - 1]], code.codewords[w]))
 
 def bf_decode(codewords, y):
     """Linear-scan nearest codeword; returns (codeword, distance, tied_flag)."""

@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_ball, bf_decode, dict_is_perfect
+from oracles import bf_ball, bf_decode, dict_is_perfect, expanded_is_perfect
 from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
@@ -417,6 +418,71 @@ class TestAgainstOwnerDict:
                     kinds.add((result.perfect, result.uncovered is None))
         assert kinds == {(True, True), (False, True), (False, False)}
 
+
+
+def late_overlap(ell, e):
+    """The perfect binary code of (1, ell) at e with its last-but-one codeword
+    moved one unit toward the last: only the check after the walk sees the overlap."""
+    words = list(construct_binary_perfect(ell, e).codewords)
+    words[-2] = (words[-2][0] - 1, words[-2][1] + 1)
+    return Code(SimplexSpace(1, ell), tuple(words))
+
+
+class TestAgainstIdExpansion:
+    """is_perfect reads the double-cover witness off sorted runs; the replaced
+    check spelled every walked ball out id by id and sorted the ids."""
+
+    def assert_same(self, code, e):
+        result = is_perfect(code, e)
+        assert result == expanded_is_perfect(code, e) == dict_is_perfect(code, e), (code, e)
+        return result
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_radii())
+    def test_drawn_codes(self, case):
+        self.assert_same(*case)
+
+    def test_perturbed_perfect_codes(self):
+        rng = random.Random(12)
+        bases = [construct_ternary_perfect(e, v) for e in (1, 2, 4) for v in (1, 2)]
+        for ell, e in [(20, 1), (31, 2), (60, 4)]:
+            bases += [construct_binary_perfect(ell, e, m) for m in (1, count_binary_perfect(ell, e))]
+        for base in bases:
+            for _ in range(30):
+                code = perturbed(rng, base)
+                for r in (base.radius_claim - 1, base.radius_claim, base.radius_claim + 1):
+                    self.assert_same(code, r)
+
+    def test_overlap_found_after_the_walk(self):
+        code = late_overlap(299_999, 7)
+        assert self.assert_same(code, 7).double_covered == (
+            (299_999 - 299_985, 299_985), (21, 299_978), (7, 299_992))
+
+    @pytest.mark.parametrize("space,words,e,earlier,later,p", [
+        # w's run [1, 2) lies inside the earlier run [0, 3).
+        ((2, 5), ((5, 0, 0), (3, 2, 0)), 1, range(0, 3), range(1, 2), (4, 1, 0)),
+        # The earlier run [4, 6) lies inside w's run [3, 15).
+        ((2, 5), ((2, 0, 3), (1, 2, 2)), 2, range(4, 6), range(3, 15), (3, 1, 1)),
+        # w's run [3, 5) meets the earlier run [4, 6) at the earlier run's start.
+        ((2, 5), ((4, 0, 1), (2, 2, 1)), 1, range(4, 6), range(3, 5), (3, 1, 1)),
+    ])
+    def test_how_the_shared_runs_lie(self, space, words, e, earlier, later, p):
+        code = Code(SimplexSpace(*space), words)
+        assert earlier in ball_runs(code.codewords[0], e)
+        assert later in ball_runs(code.codewords[1], e)
+        assert self.assert_same(code, e).double_covered == (p, *code.codewords)
+
+    def test_late_overlap_holds_no_more_than_a_perfect_code(self):
+        def peak(code):
+            tracemalloc.start()
+            try:
+                is_perfect(code, 7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        perfect = peak(construct_binary_perfect(299_999, 7))
+        assert peak(late_overlap(299_999, 7)) <= 1.5 * perfect
 
 class TestDecode:
     def test_example(self):
