@@ -11,7 +11,6 @@ from .channel import (
     ExperimentStats,
     decode_received,
     run_experiment,
-    symmetric_difference,
     transmit,
 )
 from .codes import (
@@ -88,7 +87,6 @@ __all__ = [
     "predicted_perfect_count",
     "run_experiment",
     "save_code",
-    "symmetric_difference",
     "transmit",
     "verify_theorem_sweep",
 ]

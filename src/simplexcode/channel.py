@@ -12,10 +12,10 @@ through all the draws run by run. Both modes fill one histogram of (sent,
 received) count-vector pairs and decode each distinct received vector
 once, against a matrix of the codewords.
 
-The receiver decodes the count vector against the code under the
-symmetric-difference metric: the unhalved L1 distance between count
-vectors, which stays meaningful when insertions or deletions change the
-cardinality and the received vector leaves the simplex.
+The receiver decodes the count vector with the decoder of `codes.decode`
+under the symmetric-difference metric: the unhalved L1 distance between
+count vectors, which stays meaningful when insertions or deletions change
+the cardinality and the received vector leaves the simplex.
 
 Randomness comes from one Philox4x64 stream keyed by the seed: a run
 draws its trials from it in order, so a run is reproducible from the seed.
@@ -30,12 +30,12 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .codes import Code
-from .errors import AmbiguousDecodeError, BudgetExceededError
+from .codes import _CHUNK_CELLS, _INT64_LIMIT, Code, _decode, _matrix, _nearest
+from .errors import BudgetExceededError
 from .simplex import Point
 
-# Budgets that _check_run prices before a run starts; each admits a few
-# seconds of work on one core. "Runs" are trials in sampling mode,
+# Budgets that _check_run prices before a run starts; each admits seconds
+# of work on one core. "Runs" are trials in sampling mode,
 # codewords in exhaustive mode and 1 for transmit. Each event takes one
 # pass over the runs' count vectors, priced at no fewer than _ROW_CELLS
 # counts a row (its draw and tally) and _PASS_CELLS a pass (numpy's
@@ -46,7 +46,8 @@ _PASS_CELLS = 512
 _ROW_CELLS = 50
 # Decoding compares up to runs x codewords x symbols counts, as a sampled
 # trial adds at most one distinct received vector (exhaustive runs are
-# bounded by their pattern count instead).
+# bounded by their pattern count instead). At the budget that is 3-4 s on
+# 1,001 symbols but about 11 s on 2, where each count costs 4x as much.
 DECODE_WORK_BUDGET = 1_000_000_000
 # Exhaustive mode's noise patterns (codewords times position-level
 # patterns), which bound its integer weights and the `trials` it reports.
@@ -54,14 +55,6 @@ EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
 # Counts of the (sent, received) pairs a run holds, as tuples of about
 # 9 bytes a count.
 HELD_COUNT_BUDGET = 25_000_000
-
-# Trials are sampled, and received vectors decoded, in blocks of about this
-# many matrix entries, so memory stays flat on wide alphabets.
-_CHUNK_CELLS = 2**14
-
-# Draws and integer matrices are int64: an event's total weight must stay
-# below this, and matrices switch to exact Python integers at or above it.
-_INT64_LIMIT = 2**63
 
 _SELECTIONS = ("uniform", "round-robin")
 
@@ -182,12 +175,6 @@ def _check_run(
         )
 
 
-def _matrix(rows, bound: int) -> np.ndarray:
-    """Integer rows as a matrix: int64 when every value computed from it is
-    below `bound`, exact Python integers otherwise."""
-    return np.array(rows, dtype=np.int64 if bound < _INT64_LIMIT else object)
-
-
 def _event(counts: np.ndarray, kind: str, r: np.ndarray, total: int) -> np.ndarray:
     """Apply one event to every row of a C-contiguous count matrix, in place,
     and return where each row's run of draws with the same outcome ends.
@@ -301,33 +288,6 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     return received
 
 
-def symmetric_difference(a, b) -> int:
-    """Unhalved L1 distance between count vectors of any cardinalities."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def _decode(words, vectors: list, bound: int) -> list[tuple[int, int]]:
-    """(codeword index, score) of each vector under minimum symmetric
-    difference, with index -1 for a tie.
-
-    Each block of vectors takes one numpy L1 against the codeword matrix,
-    in int64 when every score is below `bound`, in exact Python integers
-    otherwise.
-    """
-    table = _matrix(words, bound)
-    block = max(1, _CHUNK_CELLS // table.size)
-    out: list[tuple[int, int]] = []
-    for start in range(0, len(vectors), block):
-        received = _matrix(vectors[start : start + block], bound)
-        scores = np.abs(received[:, None, :] - table).sum(axis=2)
-        best = scores.min(axis=1)
-        tied = (scores == best[:, None]).sum(axis=1) > 1
-        out += zip(np.where(tied, -1, scores.argmin(axis=1)).tolist(), best.tolist())
-    return out
-
-
 def decode_received(code: Code, received) -> tuple[Point, int]:
     """Minimum symmetric-difference decoding of a raw count vector.
 
@@ -341,11 +301,7 @@ def decode_received(code: Code, received) -> tuple[Point, int]:
         raise ValueError(
             f"count vector has {len(r)} entries, alphabet needs {code.space.n + 1}"
         )
-    ((index, best),) = _decode(code.codewords, [r], code.space.ell + sum(r))
-    if index < 0:
-        tied = [c for c in code.codewords if symmetric_difference(c, r) == best]
-        raise AmbiguousDecodeError(r, tied, best)
-    return code.codewords[index], best
+    return _nearest(code, r, code.space.ell + sum(r), 1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -38,6 +39,13 @@ CONSTRUCT_WORD_BUDGET = 1_000_000
 # overlap. One-id runs cost the most, 2.5-3.8 us an id: on 61 symbols at e = 1 the
 # 520 codewords admitted walk 0.54M ids in 1.3-2.0 s and 71 MB.
 VERIFY_ID_BUDGET = 2_000_000
+
+# Received vectors are decoded, and channel trials sampled, in blocks of about
+# this many matrix entries, so memory stays flat on wide alphabets.
+_CHUNK_CELLS = 2**14
+# Draws and integer matrices are int64: an event's total weight must stay
+# below this, and matrices switch to exact Python integers at or above it.
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -245,20 +253,55 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
         point_at(code.space, int(p)), code.codewords[earlier], code.codewords[w]))
 
 
+def _matrix(rows, bound: int) -> np.ndarray:
+    """Integer rows as a matrix: int64 when every value computed from it is
+    below `bound`, exact Python integers otherwise."""
+    return np.array(rows, dtype=np.int64 if bound < _INT64_LIMIT else object)
+
+
+def _scores(words, vectors: list, bound: int) -> Iterator[np.ndarray]:
+    """Blocks of scores, a row per count vector and a column per codeword:
+    unhalved L1 distances, one numpy L1 a block, in int64 when every score
+    is below `bound` and in exact Python integers otherwise."""
+    table = _matrix(words, bound)
+    block = max(1, _CHUNK_CELLS // table.size)
+    for start in range(0, len(vectors), block):
+        received = _matrix(vectors[start : start + block], bound)
+        yield np.abs(received[:, None, :] - table).sum(axis=2)
+
+
+def _decode(words, vectors: list, bound: int) -> list[tuple[int, int]]:
+    """(codeword index, score) of each vector under minimum symmetric
+    difference, with index -1 for a tie."""
+    out: list[tuple[int, int]] = []
+    for scores in _scores(words, vectors, bound):
+        best = scores.min(axis=1)
+        tied = (scores == best[:, None]).sum(axis=1) > 1
+        out += zip(np.where(tied, -1, scores.argmin(axis=1)).tolist(), best.tolist())
+    return out
+
+
+def _nearest(code: Code, r: Point, bound: int, unit: int) -> tuple[Point, int]:
+    """The codeword nearest the count vector r, and its score over `unit`. A
+    tie raises AmbiguousDecodeError with the tied codewords of the score row."""
+    row = next(_scores(code.codewords, [r], bound))[0]
+    best = row[row.argmin()]
+    tied = [code.codewords[i] for i in (row == best).nonzero()[0].tolist()]
+    if len(tied) > 1:
+        raise AmbiguousDecodeError(r, tied, int(best) // unit)
+    return tied[0], int(best) // unit
+
+
 def decode(code: Code, y: Point) -> tuple[Point, int]:
     """Nearest-codeword decoding of a point of the space.
 
-    Returns the unique nearest codeword and the distance achieved. A tie is
+    Returns the unique nearest codeword and the distance achieved, half the
+    decoder's score (points of one space have equal sums). A tie is
     reported as AmbiguousDecodeError rather than broken silently: against a
     perfect code ties cannot happen, so one showing up means the code (or
     its claimed radius) is defective.
     """
-    y = make_point(code.space, y)
-    best = min(distance(c, y) for c in code.codewords)
-    tied = [c for c in code.codewords if distance(c, y) == best]
-    if len(tied) > 1:
-        raise AmbiguousDecodeError(y, tied, best)
-    return tied[0], best
+    return _nearest(code, make_point(code.space, y), 2 * code.space.ell, 2)
 
 
 def code_from_dict(obj) -> Code:

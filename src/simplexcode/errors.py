@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .simplex import format_point
+
 
 class AmbiguousDecodeError(Exception):
     """Two or more codewords are equally close to the received word.
@@ -15,7 +17,7 @@ class AmbiguousDecodeError(Exception):
         self.received = tuple(received)
         self.candidates = tuple(candidates)
         self.score = score
-        names = ", ".join("[" + ",".join(str(c) for c in w) + "]" for w in self.candidates)
+        names = ", ".join(map(format_point, self.candidates))
         super().__init__(f"ambiguous decode at score {score}: tied codewords {names}")
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import bf_ball, bf_decode, bf_neighbors, bf_perfect_codes
+from oracles import ORACLE_FAMILY, bf_ball, bf_decode, bf_neighbors, bf_perfect_codes
 from simplexcode import (
     AmbiguousDecodeError,
     ChannelConfig,
@@ -32,12 +32,6 @@ from simplexcode import (
     run_experiment,
 )
 from simplexcode.cli import main as cli_main
-
-# Spaces the brute-force oracles are run against: every cell in this grid
-# has at most 500 points, covering all alphabet sizes the classification
-# criteria exercise plus a 6-symbol row.
-ORACLE_FAMILY = {1: 30, 2: 30, 3: 10, 4: 7, 5: 5}
-
 
 @contextmanager
 def criterion(num: int, label: str):

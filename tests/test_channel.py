@@ -12,12 +12,14 @@ from itertools import product
 import numpy as np
 import pytest
 from oracles import (
+    ORACLE_FAMILY,
     _noisy_variants,
     binomial_bounds,
     count_noise_patterns,
     positional_exhaustive,
     python_decode_received,
     scalar_sampled_experiment,
+    symmetric_difference,
     transition_dp_exhaustive,
     two_guard_check,
 )
@@ -36,7 +38,6 @@ from simplexcode import (
     decode_received,
     enumerate_space,
     run_experiment,
-    symmetric_difference,
     transmit,
 )
 
@@ -205,8 +206,6 @@ class TestDecodeReceived:
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(ValueError, match="alphabet"):
             decode_received(code, (4, 2))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            symmetric_difference((1, 2), (1, 2, 3))
 
     def test_negative_counts_rejected(self):
         code = construct_ternary_perfect(2, 2)
@@ -256,12 +255,25 @@ class TestDecodeReceived:
                     assert decode_received(code, r) == want
 
     def test_agrees_with_half_metric_decoder_inside_simplex(self):
-        code = construct_ternary_perfect(1, 1)
-        for y in enumerate_space(code.space):
-            word, d = decode(code, y)
-            word2, score = decode_received(code, y)
-            assert word2 == word
-            assert score == 2 * d
+        # Probe codes of every 7th point of each oracle-family space tie
+        # often: both decoders must name the same candidates.
+        codes = [construct_ternary_perfect(1, 1)]
+        for n, ell_cap in ORACLE_FAMILY.items():
+            for ell in range(ell_cap + 1):
+                points = list(enumerate_space(SimplexSpace(n, ell)))
+                if len(points) >= 2:
+                    codes.append(Code(SimplexSpace(n, ell), tuple(points[::7])))
+        for code in codes:
+            for y in enumerate_space(code.space):
+                try:
+                    word, d = decode(code, y)
+                except AmbiguousDecodeError as exc:
+                    with pytest.raises(AmbiguousDecodeError) as got:
+                        decode_received(code, y)
+                    assert got.value.candidates == exc.candidates, (code, y)
+                    assert got.value.score == 2 * exc.score, (code, y)
+                else:
+                    assert decode_received(code, y) == (word, 2 * d), (code, y)
 
 
 class TestRunExperiment:
@@ -765,7 +777,9 @@ class TestAgainstScalarSampler:
                  construct_binary_perfect(10, 1, 2), construct_binary_perfect(9, 2, 1),
                  Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3))), _unit_code(6, 2)]
         for _ in range(60):
-            monkeypatch.setattr(channel, "_CHUNK_CELLS", rnd.choice([1, 7, 16, 40, 2**14]))
+            cells = rnd.choice([1, 7, 16, 40, 2**14])
+            monkeypatch.setattr(channel, "_CHUNK_CELLS", cells)
+            monkeypatch.setattr("simplexcode.codes._CHUNK_CELLS", cells)  # decode blocks
             code = rnd.choice(codes)
             cfg = ChannelConfig(substitutions=rnd.randrange(4), insertions=rnd.randrange(3),
                                 deletions=rnd.randrange(3), seed=rnd.getrandbits(64))

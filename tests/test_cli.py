@@ -305,6 +305,14 @@ class TestSimulate:
         assert code == 2
         assert "seed" in stderr
 
+    def test_missing_trials_exits_2(self, tmp_path, capsys):
+        self.write_code(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": "c22.json", "substitutions": 1, "seed": 1}))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: config is missing trials (required unless exhaustive is true)\n"
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         self.write_code(capsys, tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,10 @@ class TestBinaryParams:
     def test_count_below_threshold_is_zero(self):
         assert count_binary_perfect(2, 1) == 0
         assert count_binary_perfect(4, 2) == 0
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="e must be >= 0, got -1"):
+            count_binary_perfect(9, -1)
 
 
 class TestBinaryConstruction:
@@ -510,6 +515,26 @@ class TestDecode:
             decode(code, (6, 2))
         assert set(exc_info.value.candidates) == {(7, 1), (5, 3)}
         assert exc_info.value.score == 1
+        assert str(exc_info.value) == "ambiguous decode at score 1: tied codewords [7,1], [5,3]"
+
+    def test_exact_at_huge_lengths(self):
+        # The far codeword scores 2**63 here, which int64 would wrap to the
+        # smallest score; the decode switches to exact integers.
+        ell = 2**62
+        code = Code(SimplexSpace(1, ell), ((ell, 0), (0, ell)))
+        for y in [(ell, 0), (0, ell), (ell - 5, 5), (3, ell - 3), (ell // 2 + 1, ell // 2 - 1)]:
+            word, d, _ = bf_decode(code.codewords, y)
+            assert decode(code, y) == (word, d)
+        with pytest.raises(AmbiguousDecodeError) as exc_info:
+            decode(code, (ell // 2, ell // 2))
+        assert exc_info.value.candidates == ((ell, 0), (0, ell))
+        assert exc_info.value.score == ell // 2
+        assert type(exc_info.value.score) is int
+
+    def test_rejects_numpy_coordinates(self):
+        code = construct_ternary_perfect(2, 2)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            decode(code, np.array([4, 2, 1]))
 
     def test_rejects_point_outside_space(self):
         code = construct_ternary_perfect(2, 2)

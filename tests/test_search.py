@@ -327,6 +327,10 @@ class TestPredictions:
             (2, 9, 2, 0),
             (1, 2, 1, 0),
             (4, 10, 2, 0),
+            (1, 9, 0, 0),
+            (2, 1, 0, 0),  # ell = 3e + 1, yet e = 0 admits no nontrivial code
+            (0, 3, 1, 0),
+            (0, 0, 1, 0),
         ],
     )
     def test_closed_forms(self, n, ell, e, expected):
