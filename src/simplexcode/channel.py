@@ -9,8 +9,9 @@ position-level events that produce it. _event picks an event's outcome
 from a draw below its total weight: sampling applies it to a (trials x
 symbols) count matrix at uniform draws, exhaustive mode walks every state
 through all the draws run by run. Both modes fill one histogram of (sent,
-received) count-vector pairs and decode each distinct received vector
-once, against a matrix of the codewords.
+received) count-vector pairs, sampling one sorted chunk of trials at a
+time, and decode each distinct received vector once, against a matrix of
+the codewords.
 
 The receiver decodes the count vector with the decoder of `codes.decode`
 under the symmetric-difference metric: the unhalved L1 distance between
@@ -218,7 +219,10 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
     selection), then each event's total weight, which depends only on the
     length. So one array call per chunk of trials draws exactly the values
     that one scalar call per bound would, and leaves the stream where they
-    would leave it.
+    would leave it. Each chunk's rows, sent index beside the received
+    counts, are sorted on the columns that vary within the chunk, so that
+    equal rows are adjacent, and each distinct pair is added to the
+    histogram once with its number of trials.
     """
     length = sum(words[0])
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
@@ -237,7 +241,15 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
         counts = sent_rows[sent]
         for (kind, total), r in zip(schedule, draws.T):
             _event(counts, kind, r, total)
-        received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
+        # A column equal in every row neither orders the rows nor tells them apart.
+        keys = np.column_stack((sent, counts[:, (counts != counts[0]).any(axis=0)]))
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+        firsts = order[starts]
+        pairs = zip(sent[firsts].tolist(), map(tuple, counts[firsts].tolist()))
+        for pair, size in zip(pairs, np.diff(starts, append=len(keys)).tolist()):
+            received[pair] += size
     return received
 
 

@@ -53,7 +53,7 @@ class SimplexSpace:
     def __contains__(self, coords) -> bool:
         try:
             make_point(self, coords)
-        except ValueError:
+        except (TypeError, ValueError):
             return False
         return True
 

@@ -41,6 +41,10 @@ event-work price took in the step guard: a step guard on events x runs, a
 closed-form heaviest event weight, the work prices, then the pattern
 product in exhaustive mode; kept as the reference for which runs the
 channel refuses.
+tuple_sample_run is channel._sample_run as it tallied a chunk of trials
+one (sent, received) tuple per trial into its Counter, before it sorted
+each chunk's rows and counted each distinct pair once; kept unchanged, it
+pins the sorted tally's keys and counts.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ from simplexcode import (
     decode_received,
     enumerate_space,
 )
-from simplexcode.channel import _rng
+from simplexcode.channel import _event, _rng, _schedule
+from simplexcode.codes import _matrix
 from simplexcode.simplex import ball_runs, point_at
 
 SymbolSequence = tuple[int, ...]
@@ -642,6 +647,37 @@ def scalar_sampled_experiment(code, cfg, trials: int, codeword_selection: str = 
             sent = words[t % len(words)]
         received[sent, _sample(sent, cfg, rng)] += 1
     return _stats(code, received, exhaustive=False)
+
+
+def tuple_sample_run(words, cfg, trials: int, selection: str, rng) -> Counter:
+    """(sent codeword index, received count vector) -> trials, over `trials`
+    trials drawn in order from `rng`, one tuple per trial into the Counter.
+
+    Every trial draws the same bounds: its codeword index (uniform
+    selection), then each event's total weight, which depends only on the
+    length. So one array call per chunk of trials draws exactly the values
+    that one scalar call per bound would, and leaves the stream where they
+    would leave it.
+    """
+    length = sum(words[0])
+    schedule = list(_schedule(length, cfg, len(words[0]) - 1))
+    bounds = [len(words)] if selection == "uniform" else []
+    bounds += [total for _, total in schedule]
+    chunk = max(1, min(trials, channel._CHUNK_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
+    sent_rows = _matrix(words, length + cfg.insertions)
+    received: Counter = Counter()
+    for start in range(0, trials, chunk):
+        draws = rng.integers(tiled[: trials - start])
+        if selection == "uniform":
+            sent, draws = draws[:, 0], draws[:, 1:]
+        else:
+            sent = np.arange(start, start + len(draws)) % len(words)
+        counts = sent_rows[sent]
+        for (kind, total), r in zip(schedule, draws.T):
+            _event(counts, kind, r, total)
+        received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
+    return received
 
 
 def _stats(code, received: Counter, *, exhaustive: bool) -> ExperimentStats:

@@ -21,6 +21,7 @@ from oracles import (
     scalar_sampled_experiment,
     symmetric_difference,
     transition_dp_exhaustive,
+    tuple_sample_run,
     two_guard_check,
 )
 
@@ -797,6 +798,62 @@ class TestAgainstScalarSampler:
             assert stats.mean_score == 0.0
         stats = run_experiment(code, ChannelConfig(substitutions=1, seed=4), 40)
         assert (stats.successes, stats.score_total) == (40, 80)
+
+
+def _tally_both_ways(words, cfg, trials, selection) -> Counter:
+    """channel._sample_run's Counter, asserted equal to the per-trial tuple
+    tally's, with keys of Python ints and the stream left in the same place."""
+    rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
+    got = channel._sample_run(words, cfg, trials, selection, rng)
+    assert got == tuple_sample_run(words, cfg, trials, selection, oracle_rng)
+    assert all(type(index) is int and all(type(c) is int for c in vector)
+               for index, vector in got)
+    assert sum(got.values()) == trials
+    assert rng.integers(2**40, size=4).tolist() == oracle_rng.integers(2**40, size=4).tolist()
+    return got
+
+
+class TestAgainstTupleTally:
+    """The sorted per-chunk tally of sampled runs against the replaced
+    tally of one tuple per trial: equal Counters, key types included."""
+
+    @pytest.mark.parametrize("selection", ["uniform", "round-robin"])
+    @pytest.mark.parametrize(
+        "code,noise,trials",
+        [
+            # The benchmark's sampled noise, above one chunk of trials.
+            (construct_ternary_perfect(2, 2), (2, 0, 0), 12000),
+            (construct_ternary_perfect(2, 2), (3, 0, 0), 12000),
+            (construct_ternary_perfect(2, 2), (2, 1, 1), 12000),
+            (construct_binary_perfect(64, 3), (3, 0, 0), 12000),
+            (_unit_code(250), (1, 0, 0), 200),
+            (_unit_code(250), (0, 1, 1), 200),
+            # Most of the 201 columns are equal in every row of a chunk.
+            (Code(SimplexSpace(200, 3), ((3,) + (0,) * 200, (0,) * 200 + (3,))), (1, 0, 1), 3000),
+            # Exact-integer count matrices.
+            (Code(SimplexSpace(0, 2**63 + 5), ((2**63 + 5,),)), (0, 0, 0), 50),
+            (_two_words(2**62), (1, 0, 0), 300),
+        ],
+        ids=["t2-s2", "t2-s3", "t2-s2i1d1", "b64-s3", "unit250-s1", "unit250-i1d1",
+             "wide-two-words", "n0-2^63+5", "2^62-s1"],
+    )
+    def test_same_counter_as_the_tuple_tally(self, code, noise, trials, selection):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=trials)
+        _tally_both_ways(code.codewords, cfg, trials, selection)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    def test_pairs_merge_across_chunks(self, monkeypatch, cells):
+        # Chunks of at most `cells` trials: a pair seen more often than that
+        # is counted in several chunks, and its counts must add up to one key.
+        monkeypatch.setattr(channel, "_CHUNK_CELLS", cells)
+        for code, noise in [(construct_ternary_perfect(2, 2), (2, 1, 1)),
+                            (_two_words(2**62), (1, 0, 0))]:
+            subs, ins, dels = noise
+            cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=cells)
+            for selection in ("uniform", "round-robin"):
+                got = _tally_both_ways(code.codewords, cfg, 2000, selection)
+                assert max(got.values()) > cells
 
 
 def _random_codes(rnd: random.Random, count: int) -> list[Code]:

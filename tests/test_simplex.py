@@ -72,13 +72,15 @@ class TestMakePoint:
         assert (5, 2) not in space
 
     @pytest.mark.parametrize(
-        "coords", [(5, 0, 2), (5, 0, 3), (5, 2), (True, 4, 2), (5.0, 0, 2), (8, -1, 0), (7, 0, 0)]
+        "coords",
+        [(5, 0, 2), (5, 0, 3), (5, 2), (True, 4, 2), (5.0, 0, 2), (8, -1, 0), (7, 0, 0), "abc", 5, None],
     )
     def test_contains_follows_make_point(self, coords):
+        # Whatever make_point refuses, non-iterables included, is not in the space.
         space = SimplexSpace(2, 7)
         try:
             make_point(space, coords)
-        except ValueError:
+        except (TypeError, ValueError):
             assert coords not in space
         else:
             assert coords in space
