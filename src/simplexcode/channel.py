@@ -9,9 +9,9 @@ position-level events that produce it. _event picks an event's outcome
 from a draw below its total weight: sampling applies it to a (trials x
 symbols) count matrix at uniform draws, exhaustive mode walks every state
 through all the draws run by run. Both modes fill one histogram of (sent,
-received) count-vector pairs, sampling one sorted chunk of trials at a
-time, and decode each distinct received vector once, against a matrix of
-the codewords.
+received) count-vector pairs, held as arrays that _tally merges, and
+decode each distinct received vector once, against a matrix of the
+codewords.
 
 The receiver decodes the count vector with the decoder of `codes.decode`
 under the symmetric-difference metric: the unhalved L1 distance between
@@ -24,7 +24,6 @@ draws its trials from it in order, so a run is reproducible from the seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -45,16 +44,16 @@ from .simplex import Point
 EVENT_WORK_BUDGET = 100_000_000
 _PASS_CELLS = 512
 _ROW_CELLS = 50
-# Decoding compares up to runs x codewords x symbols counts, as a sampled
-# trial adds at most one distinct received vector (exhaustive runs are
-# bounded by their pattern count instead). At the budget that is 3-4 s on
-# 1,001 symbols but about 11 s on 2, where each count costs 4x as much.
+# Decoding compares received vectors x codewords x symbols counts, priced
+# on the runs before a run (a sampled trial adds at most one distinct
+# vector) and on the distinct vectors an exhaustive run produced after it.
+# At the budget that is about 2 s on 1,001 symbols but 11-12 s on 2.
 DECODE_WORK_BUDGET = 1_000_000_000
 # Exhaustive mode's noise patterns (codewords times position-level
-# patterns), which bound its integer weights and the `trials` it reports.
+# patterns), which bound its int64 weights, exactly, and its `trials`.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
-# Counts of the (sent, received) pairs a run holds, as tuples of about
-# 9 bytes a count.
+# Counts of the (sent, received) pairs a run holds; merging them peaks at
+# about 3.3 bytes a held count while the counts are int8.
 HELD_COUNT_BUDGET = 25_000_000
 
 _SELECTIONS = ("uniform", "round-robin")
@@ -112,11 +111,11 @@ def _check_run(
     """Reject events that cannot act on a sequence of this length over n+1
     symbols, and runs over a budget, before any work.
 
-    `runs` runs of the events are priced, decoding against `words`
-    codewords (0 when nothing is decoded). The O(1) work prices come first,
-    so the checks after them walk at most EVENT_WORK_BUDGET // _PASS_CELLS
-    events. Every event's total weight must fit a 64-bit draw, so the error
-    names it rather than numpy.
+    `runs` runs of the events are priced, each decoding one vector against
+    `words` codewords (0: no decode), priced again on the vectors a run
+    produced. The O(1) work prices come first, so the checks after them walk
+    at most EVENT_WORK_BUDGET // _PASS_CELLS events. Every event's total
+    weight must fit a 64-bit draw, so the error names it rather than numpy.
     """
     if cfg.substitutions and n < 1:
         raise ValueError("substitution needs an alphabet with at least 2 symbols")
@@ -134,12 +133,7 @@ def _check_run(
             f"{_ROW_CELLS} per run and {_PASS_CELLS} per event), "
             f"over the budget of {EVENT_WORK_BUDGET}"
         )
-    work = runs * words * (n + 1)
-    if work > DECODE_WORK_BUDGET:
-        raise BudgetExceededError(
-            f"decoding would compare {work} counts (runs x codewords x symbols), "
-            f"over the budget of {DECODE_WORK_BUDGET}"
-        )
+    _check_decode(runs, words, n)
     totals = [total for _, total in _schedule(length, cfg, n)]
     weight = max(totals, default=0)
     if weight >= _INT64_LIMIT:
@@ -174,6 +168,13 @@ def _check_run(
             f"the run would hold {held} counts ((sent, received) pairs x symbols), "
             f"over the budget of {HELD_COUNT_BUDGET}"
         )
+
+
+def _check_decode(vectors: int, words: int, n: int) -> None:
+    """Refuse to decode `vectors` count vectors over the decode-work budget."""
+    if (work := vectors * words * (n + 1)) > DECODE_WORK_BUDGET:
+        raise BudgetExceededError(f"decoding would compare {work} counts (received vectors x "
+                                  f"codewords x symbols), over the budget of {DECODE_WORK_BUDGET}")
 
 
 def _event(counts: np.ndarray, kind: str, r: np.ndarray, total: int) -> np.ndarray:
@@ -211,18 +212,30 @@ def _event(counts: np.ndarray, kind: str, r: np.ndarray, total: int) -> np.ndarr
     return start + (j + 1) * had
 
 
-def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> Counter:
-    """(sent codeword index, received count vector) -> trials, over `trials`
-    trials drawn in order from `rng`.
+def _tally(sent: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> tuple:
+    """The distinct (sent, received) rows with their summed weights, ordered
+    by received vector and then by sent index, so that equal received
+    vectors are adjacent."""
+    # A column equal in every row neither orders the rows nor tells them apart.
+    varying = counts[:, (counts != counts[0]).any(axis=0)]
+    order = np.lexsort((sent, *varying.T))
+    keys, varying = sent[order], varying[order]
+    new = (keys[1:] != keys[:-1]) | (varying[1:] != varying[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.append(True, new))
+    return keys[starts], counts[order[starts]], np.add.reduceat(weights[order], starts)
+
+
+def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> tuple:
+    """The _tally of `trials` trials drawn in order from `rng`: sent
+    codeword indices, received count vectors and their numbers of trials.
 
     Every trial draws the same bounds: its codeword index (uniform
     selection), then each event's total weight, which depends only on the
     length. So one array call per chunk of trials draws exactly the values
     that one scalar call per bound would, and leaves the stream where they
-    would leave it. Each chunk's rows, sent index beside the received
-    counts, are sorted on the columns that vary within the chunk, so that
-    equal rows are adjacent, and each distinct pair is added to the
-    histogram once with its number of trials.
+    would leave it. Each chunk is tallied, and the chunk tallies held are
+    merged whenever their rows double, so the merges sort at most about
+    twice the rows that the chunk tallies produce.
     """
     length = sum(words[0])
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
@@ -231,7 +244,7 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
     chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
     tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
     sent_rows = _matrix(words, length + cfg.insertions)
-    received: Counter = Counter()
+    held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
     for start in range(0, trials, chunk):
         draws = rng.integers(tiled[: trials - start])
         if selection == "uniform":
@@ -241,40 +254,40 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
         counts = sent_rows[sent]
         for (kind, total), r in zip(schedule, draws.T):
             _event(counts, kind, r, total)
-        # A column equal in every row neither orders the rows nor tells them apart.
-        keys = np.column_stack((sent, counts[:, (counts != counts[0]).any(axis=0)]))
-        order = np.lexsort(keys.T)
-        keys = keys[order]
-        starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
-        firsts = order[starts]
-        pairs = zip(sent[firsts].tolist(), map(tuple, counts[firsts].tolist()))
-        for pair, size in zip(pairs, np.diff(starts, append=len(keys)).tolist()):
-            received[pair] += size
-    return received
+        held.append(_tally(sent, counts, np.ones(len(sent), dtype=np.int64)))
+        rows += len(held[-1][0])
+        if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
+            sent, counts, weights = map(np.concatenate, zip(*held))
+            held.clear()  # only the merged tally outlives the merge
+            held.append(_tally(sent, counts, weights))
+            rows = merged = len(held[0][0])
+    return held[0]
 
 
-def _exhaustive_run(words, cfg: ChannelConfig) -> Counter:
-    """(sent codeword index, received count vector) -> the number of noise
-    patterns, and so of sampler draw sequences, that send one to the other.
+def _exhaustive_run(words, cfg: ChannelConfig) -> tuple:
+    """Sent codeword indices, received count vectors and the number of noise
+    patterns, and so of sampler draw sequences, that send one to the other:
+    a _tally after any event, codewords in order without events.
 
     Every (sent, state) row starts at draw 0 and takes one run of draws per
     _event call until its run reaches the event's total; each outcome weighs
-    the state's weight times the run length, in exact integers."""
-    states: Counter = Counter({(index, word): 1 for index, word in enumerate(words)})
-    for kind, total in _schedule(sum(words[0]), cfg, len(words[0]) - 1):
-        keys, weights = list(states), list(states.values())
-        rows = np.array([counts for _, counts in keys], dtype=np.int64)
-        live, r = np.arange(len(keys)), np.zeros(len(keys), dtype=np.int64)
-        states = Counter()
+    the state's weight times the run length. No weight exceeds the pattern
+    count, which EXHAUSTIVE_PATTERN_BUDGET caps, so int64 holds them exactly."""
+    length = sum(words[0])
+    sent, counts = np.arange(len(words)), _matrix(words, length + cfg.insertions)
+    weights = np.ones(len(words), dtype=np.int64)
+    for kind, total in _schedule(length, cfg, len(words[0]) - 1):
+        live, r, outcomes = np.arange(len(sent)), np.zeros(len(sent), dtype=np.int64), []
         while len(live):
-            counts = rows[live]
-            ends = _event(counts, kind, r, total)
-            runs = (ends - r).tolist()
-            for k, moved, run in zip(live.tolist(), map(tuple, counts.tolist()), runs):
-                states[keys[k][0], moved] += weights[k] * run
+            moved = counts[live]
+            ends = _event(moved, kind, r, total)
+            outcomes.append((sent[live], moved, weights[live] * (ends - r)))
             more = ends < total
             live, r = live[more], ends[more]
-    return states
+        sent, counts, weights = map(np.concatenate, zip(*outcomes))
+        outcomes.clear()  # only the merged tally outlives the merge
+        sent, counts, weights = _tally(sent, counts, weights)
+    return sent, counts, weights
 
 
 def _count_vector(values) -> Point:
@@ -296,8 +309,8 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     """
     sent = _count_vector(counts)
     _check_run(sum(sent), cfg, len(sent) - 1, 1, 0)
-    ((_, received),) = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
-    return received
+    _, received, _ = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
+    return tuple(received[0].tolist())
 
 
 def decode_received(code: Code, received) -> tuple[Point, int]:
@@ -377,7 +390,8 @@ def run_experiment(
     exact expectations, and success_rate == 1.0 proves that no pattern of
     that weight can fool the decoder.
 
-    Either mode decodes each distinct received vector once.
+    Either mode decodes each distinct received vector once, after pricing
+    that decode: distinct vectors x codewords x symbols.
     """
     if codeword_selection not in _SELECTIONS:
         raise ValueError(f"codeword_selection must be one of {_SELECTIONS}")
@@ -389,27 +403,17 @@ def run_experiment(
     length, n, words = code.space.ell, code.space.n, code.codewords
     _check_run(length, cfg, n, len(words) if exhaustive else trials, len(words), exhaustive)
     if exhaustive:
-        received = _exhaustive_run(words, cfg)
+        sent, counts, weights = _exhaustive_run(words, cfg)
     else:
-        received = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))
+        sent, counts, weights = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))
+    # Equal received vectors are adjacent: each distinct one starts a group.
+    first = np.append(True, (counts[1:] != counts[:-1]).any(axis=1))
+    _check_decode(int(first.sum()), len(words), n)
     # A score is at most ell plus the received length, itself at most ell + insertions.
-    vectors = list(dict.fromkeys(counts for _, counts in received))
-    decoded = dict(zip(vectors, _decode(words, vectors, 2 * (length + cfg.insertions))))
-    successes = ambiguous = errors = score_total = 0
-    for (sent, counts), weight in received.items():
-        index, score = decoded[counts]
-        if index < 0:
-            ambiguous += weight
-        elif index == sent:
-            successes += weight
-        else:
-            errors += weight
-        score_total += score * weight
-    return ExperimentStats(
-        trials=sum(received.values()),
-        successes=successes,
-        ambiguous=ambiguous,
-        errors=errors,
-        score_total=score_total,
-        exhaustive=bool(exhaustive),
-    )
+    index, score = _decode(words, counts[first], 2 * (length + cfg.insertions))
+    group = first.cumsum() - 1
+    index, score = index[group], score[group]
+    trials, successes = int(weights.sum()), int(weights[index == sent].sum())
+    ambiguous = int(weights[index < 0].sum())
+    errors, score_total = trials - successes - ambiguous, int((score * weights).sum())
+    return ExperimentStats(trials, successes, ambiguous, errors, score_total, bool(exhaustive))

@@ -43,9 +43,11 @@ VERIFY_ID_BUDGET = 2_000_000
 # Received vectors are decoded, and channel trials sampled, in blocks of about
 # this many matrix entries, so memory stays flat on wide alphabets.
 _CHUNK_CELLS = 2**14
-# Draws and integer matrices are int64: an event's total weight must stay
-# below this, and matrices switch to exact Python integers at or above it.
+# Draws are int64: an event's total weight must stay below this, and integer
+# matrices switch to exact Python integers at or above it.
 _INT64_LIMIT = 2**63
+# The signed integer types of matrices, each with the first bound it cannot hold.
+_INT_TYPES = ((2**7, np.int8), (2**15, np.int16), (2**31, np.int32), (_INT64_LIMIT, np.int64))
 
 
 @dataclass(frozen=True)
@@ -254,37 +256,37 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
 
 
 def _matrix(rows, bound: int) -> np.ndarray:
-    """Integer rows as a matrix: int64 when every value computed from it is
-    below `bound`, exact Python integers otherwise."""
-    return np.array(rows, dtype=np.int64 if bound < _INT64_LIMIT else object)
+    """Integer rows as a matrix of the narrowest signed type that holds every
+    value computed from it, all at most `bound`: int8 to int64, and exact
+    Python integers from 2**63 on."""
+    return np.array(rows, dtype=next((t for limit, t in _INT_TYPES if bound < limit), object))
 
 
-def _scores(words, vectors: list, bound: int) -> Iterator[np.ndarray]:
+def _scores(words, vectors: np.ndarray, bound: int) -> Iterator[np.ndarray]:
     """Blocks of scores, a row per count vector and a column per codeword:
-    unhalved L1 distances, one numpy L1 a block, in int64 when every score
-    is below `bound` and in exact Python integers otherwise."""
+    unhalved L1 distances, all at most `bound`, one numpy L1 a block."""
     table = _matrix(words, bound)
     block = max(1, _CHUNK_CELLS // table.size)
     for start in range(0, len(vectors), block):
-        received = _matrix(vectors[start : start + block], bound)
-        yield np.abs(received[:, None, :] - table).sum(axis=2)
+        yield np.abs(vectors[start : start + block, None, :] - table).sum(axis=2)
 
 
-def _decode(words, vectors: list, bound: int) -> list[tuple[int, int]]:
-    """(codeword index, score) of each vector under minimum symmetric
-    difference, with index -1 for a tie."""
-    out: list[tuple[int, int]] = []
+def _decode(words, vectors: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codeword index and the score of each vector under minimum
+    symmetric difference, with index -1 for a tie."""
+    index, score = [], []
     for scores in _scores(words, vectors, bound):
         best = scores.min(axis=1)
         tied = (scores == best[:, None]).sum(axis=1) > 1
-        out += zip(np.where(tied, -1, scores.argmin(axis=1)).tolist(), best.tolist())
-    return out
+        index.append(np.where(tied, -1, scores.argmin(axis=1)))
+        score.append(best)
+    return np.concatenate(index), np.concatenate(score)
 
 
 def _nearest(code: Code, r: Point, bound: int, unit: int) -> tuple[Point, int]:
     """The codeword nearest the count vector r, and its score over `unit`. A
     tie raises AmbiguousDecodeError with the tied codewords of the score row."""
-    row = next(_scores(code.codewords, [r], bound))[0]
+    row = next(_scores(code.codewords, _matrix([r], bound), bound))[0]
     best = row[row.argmin()]
     tied = [code.codewords[i] for i in (row == best).nonzero()[0].tolist()]
     if len(tied) > 1:

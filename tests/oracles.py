@@ -43,8 +43,13 @@ product in exhaustive mode; kept as the reference for which runs the
 channel refuses.
 tuple_sample_run is channel._sample_run as it tallied a chunk of trials
 one (sent, received) tuple per trial into its Counter, before it sorted
-each chunk's rows and counted each distinct pair once; kept unchanged, it
-pins the sorted tally's keys and counts.
+each chunk's rows and counted each distinct pair once; kept unchanged
+apart from its count matrix, which stays int64 (exact integers from 2**63
+on) now that the package's matrices take the narrowest type, it pins the
+sorted tally's keys and counts. counter_exhaustive_run is
+channel._exhaustive_run as it merged the DP's states in a Counter keyed
+by (sent index, tuple of counts), before channel._tally merged them as
+arrays; kept unchanged, it is the third exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ from simplexcode import (
     enumerate_space,
 )
 from simplexcode.channel import _event, _rng, _schedule
-from simplexcode.codes import _matrix
 from simplexcode.simplex import ball_runs, point_at
 
 SymbolSequence = tuple[int, ...]
@@ -665,7 +669,8 @@ def tuple_sample_run(words, cfg, trials: int, selection: str, rng) -> Counter:
     bounds += [total for _, total in schedule]
     chunk = max(1, min(trials, channel._CHUNK_CELLS // max(len(words[0]), len(bounds))))
     tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
-    sent_rows = _matrix(words, length + cfg.insertions)
+    bound = length + cfg.insertions
+    sent_rows = np.array(words, dtype=np.int64 if bound < 2**63 else object)
     received: Counter = Counter()
     for start in range(0, trials, chunk):
         draws = rng.integers(tiled[: trials - start])
@@ -678,6 +683,30 @@ def tuple_sample_run(words, cfg, trials: int, selection: str, rng) -> Counter:
             _event(counts, kind, r, total)
         received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
     return received
+
+
+def counter_exhaustive_run(words, cfg) -> Counter:
+    """(sent codeword index, received count vector) -> the number of noise
+    patterns, and so of sampler draw sequences, that send one to the other.
+
+    Every (sent, state) row starts at draw 0 and takes one run of draws per
+    _event call until its run reaches the event's total; each outcome weighs
+    the state's weight times the run length, in exact integers."""
+    states: Counter = Counter({(index, word): 1 for index, word in enumerate(words)})
+    for kind, total in _schedule(sum(words[0]), cfg, len(words[0]) - 1):
+        keys, weights = list(states), list(states.values())
+        rows = np.array([counts for _, counts in keys], dtype=np.int64)
+        live, r = np.arange(len(keys)), np.zeros(len(keys), dtype=np.int64)
+        states = Counter()
+        while len(live):
+            counts = rows[live]
+            ends = _event(counts, kind, r, total)
+            runs = (ends - r).tolist()
+            for k, moved, run in zip(live.tolist(), map(tuple, counts.tolist()), runs):
+                states[keys[k][0], moved] += weights[k] * run
+            more = ends < total
+            live, r = live[more], ends[more]
+    return states
 
 
 def _stats(code, received: Counter, *, exhaustive: bool) -> ExperimentStats:

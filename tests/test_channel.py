@@ -16,6 +16,7 @@ from oracles import (
     _noisy_variants,
     binomial_bounds,
     count_noise_patterns,
+    counter_exhaustive_run,
     positional_exhaustive,
     python_decode_received,
     scalar_sampled_experiment,
@@ -80,6 +81,22 @@ def _refuse_draws(*args):
     raise AssertionError("a trial stream was drawn")
 
 
+def _refuse_decode(*args):
+    raise AssertionError("a run decoded")
+
+
+def _histogram(run) -> Counter:
+    """A run's (sent, counts, weights) arrays as (sent index, received
+    vector) -> weight in Python ints, asserting that the pairs are distinct
+    and that equal received vectors are adjacent."""
+    sent, counts, weights = (column.tolist() for column in run)
+    pairs = list(zip(sent, map(tuple, counts)))
+    assert len(set(pairs)) == len(pairs)
+    groups = [v for k, v in enumerate(counts) if k == 0 or v != counts[k - 1]]
+    assert len(groups) == len(set(map(tuple, counts)))
+    return Counter(dict(zip(pairs, weights)))
+
+
 class TestChannelConfig:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -110,7 +127,7 @@ class TestTransmit:
     def test_trials_give_distinct_streams(self):
         # Consecutive trials of a run draw on from one stream.
         cfg, rng = ChannelConfig(substitutions=1, seed=4), channel._rng(4)
-        outs = set(channel._sample_run(((3, 2, 2),), cfg, 8, "round-robin", rng))
+        outs = set(_histogram(channel._sample_run(((3, 2, 2),), cfg, 8, "round-robin", rng)))
         assert len(outs) > 1  # the noise varies along the stream
 
     def test_substitution_forces_a_different_symbol(self):
@@ -175,7 +192,7 @@ class TestTransmit:
             tuple(v.count(sym) for sym in range(3)) for v in _noisy_variants(seq, 1, 1, 1, 2)
         )
         total = sum(patterns.values())
-        runs = channel._sample_run((sent,), cfg, trials, "round-robin", rng)
+        runs = _histogram(channel._sample_run((sent,), cfg, trials, "round-robin", rng))
         seen = Counter({counts: times for (_, counts), times in runs.items()})
         assert set(seen) <= set(patterns)
         for counts, ways in patterns.items():
@@ -239,6 +256,24 @@ class TestDecodeReceived:
         with pytest.raises(AmbiguousDecodeError) as exc_info:
             decode_received(code, (ell, ell))
         assert exc_info.value.score == ell
+
+    @pytest.mark.parametrize("top", [127, 128])
+    def test_exact_at_the_top_of_int8(self, top):
+        # ell + sum(r) bounds the scores: 127 takes int8 matrices, 128 int16.
+        assert decode_received(Code(SimplexSpace(1, 0), ((0, 0),)), (top, 0)) == ((0, 0), top)
+        code = Code(SimplexSpace(2, 63), ((63, 0, 0), (0, 63, 0), (21, 21, 21)))
+        for a, b in product(range(top - 62), repeat=2):
+            r = (a, b, top - 63 - a - b)
+            if r[2] < 0:
+                continue
+            try:
+                want = python_decode_received(code, r)
+            except AmbiguousDecodeError as exc:
+                with pytest.raises(AmbiguousDecodeError) as got:
+                    decode_received(code, r)
+                assert (got.value.candidates, got.value.score) == (exc.candidates, exc.score)
+            else:
+                assert decode_received(code, r) == want
 
     def test_agrees_with_the_python_decoder(self):
         rnd = random.Random(5)
@@ -371,7 +406,7 @@ class TestRunExperiment:
         received, decode = [], channel._decode
 
         def recording(words, vectors, bound):
-            received.extend(vectors)
+            received.extend(map(tuple, vectors.tolist()))
             return decode(words, vectors, bound)
 
         monkeypatch.setattr(channel, "_decode", recording)
@@ -500,6 +535,24 @@ class TestRunExperiment:
             monkeypatch.setattr(channel, "HELD_COUNT_BUDGET", need - 1)
             with pytest.raises(BudgetExceededError, match=f"hold {need} counts"):
                 run_experiment(code, cfg, trials, exhaustive=exhaustive)
+
+    def test_exhaustive_decode_is_priced_on_the_received_vectors(self, monkeypatch):
+        # Distinct received vectors x codewords x symbols, counted once the
+        # run has them: admitted at exactly that price, refused at one less
+        # before any decode. The price before the run (codewords x codewords
+        # x symbols) admits both.
+        ternary, corners = construct_ternary_perfect(2, 2), _unit_code(20)
+        for code, cfg, need in [
+            (corners, ChannelConfig(insertions=1), 231 * 21 * 21),  # 21 + C(21, 2) vectors
+            (ternary, ChannelConfig(substitutions=4), 36 * 3 * 3),  # C(7 + 2, 2) vectors
+        ]:
+            monkeypatch.setattr(channel, "DECODE_WORK_BUDGET", need)
+            run_experiment(code, cfg, 1, exhaustive=True)
+            monkeypatch.setattr(channel, "DECODE_WORK_BUDGET", need - 1)
+            monkeypatch.setattr(channel, "_decode", _refuse_decode)
+            with pytest.raises(BudgetExceededError, match=f"compare {need} counts"):
+                run_experiment(code, cfg, 1, exhaustive=True)
+            monkeypatch.undo()
 
     def test_run_check_refuses_what_two_guards_refused(self):
         # The step guard (events x runs <= EXHAUSTIVE_PATTERN_BUDGET) is the
@@ -804,7 +857,7 @@ def _tally_both_ways(words, cfg, trials, selection) -> Counter:
     """channel._sample_run's Counter, asserted equal to the per-trial tuple
     tally's, with keys of Python ints and the stream left in the same place."""
     rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
-    got = channel._sample_run(words, cfg, trials, selection, rng)
+    got = _histogram(channel._sample_run(words, cfg, trials, selection, rng))
     assert got == tuple_sample_run(words, cfg, trials, selection, oracle_rng)
     assert all(type(index) is int and all(type(c) is int for c in vector)
                for index, vector in got)
@@ -886,9 +939,18 @@ class TestAgainstTransitionDP:
                 except (BudgetExceededError, ValueError):
                     continue
                 assert got == transition_dp_exhaustive(code, cfg), (code, cfg)
+                histogram = _histogram(channel._exhaustive_run(code.codewords, cfg))
+                assert histogram == counter_exhaustive_run(code.codewords, cfg), (code, cfg)
                 compared += 1
                 ties += got.ambiguous > 0
         assert compared > 300 and ties > 20
+
+    @pytest.mark.parametrize("noise", [(2, 1, 1), (4, 0, 0)])
+    def test_benchmark_configs_match_the_counter_dp(self, noise):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
+        words = construct_ternary_perfect(2, 2).codewords
+        assert _histogram(channel._exhaustive_run(words, cfg)) == counter_exhaustive_run(words, cfg)
 
     @pytest.mark.parametrize(
         "code,noise",
@@ -911,4 +973,28 @@ class TestAgainstTransitionDP:
                 for (kind, total), r in zip(schedule, seq):
                     channel._event(counts, kind, np.array([r]), total)
                 draws[index, tuple(counts[0].tolist())] += 1
-        assert channel._exhaustive_run(code.codewords, cfg) == draws
+        assert _histogram(channel._exhaustive_run(code.codewords, cfg)) == draws
+        assert counter_exhaustive_run(code.codewords, cfg) == draws
+
+
+class TestAtTheTopOfInt8:
+    """Runs whose counts reach 127, the top of an int8 count matrix, and
+    128, the first count of an int16 one, against the oracles."""
+
+    @pytest.mark.parametrize("top", [127, 128])
+    @pytest.mark.parametrize("noise", [(0, 1, 0), (0, 2, 0), (1, 1, 0)])
+    def test_both_modes_match_the_oracles(self, top, noise):
+        subs, ins, dels = noise
+        code = _two_words(top - ins)  # ell + insertions = top
+        words = code.codewords
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=top)
+        histogram = _histogram(channel._exhaustive_run(words, cfg))
+        assert histogram == counter_exhaustive_run(words, cfg)
+        assert max(max(counts) for _, counts in histogram) == top - subs
+        got = run_experiment(code, cfg, 1, exhaustive=True)
+        assert got == transition_dp_exhaustive(code, cfg)
+        for selection in ("uniform", "round-robin"):
+            sampled = _tally_both_ways(words, cfg, 300, selection)
+            assert max(max(counts) for _, counts in sampled) == top - subs
+            got = run_experiment(code, cfg, 300, selection)
+            assert got == scalar_sampled_experiment(code, cfg, 300, selection)

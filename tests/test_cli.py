@@ -435,6 +435,23 @@ class TestSimulate:
         assert (code, stdout) == (3, "")
         assert "hold 999000000 counts" in stderr
 
+    def test_wide_alphabet_exhaustive_decode_exits_3(self, tmp_path, capsys):
+        # One insertion on the 232 corners of (231, 1): within every price
+        # before the run, but its 27,028 received vectors would compare
+        # 27,028 * 232 * 232 counts, refused before any decode.
+        n = 231
+        words = [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+        (tmp_path / "unit.json").write_text(
+            json.dumps({"n": n, "ell": 1, "e": 0, "codewords": words})
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code_file": "unit.json", "insertions": 1, "exhaustive": True,
+        }))
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (3, "")
+        assert f"compare {27_028 * 232 * 232} counts" in stderr
+
     def test_event_weight_over_int64_exits_3(self, tmp_path, capsys):
         ell = 2**62
         (tmp_path / "huge.json").write_text(

@@ -531,6 +531,18 @@ class TestDecode:
         assert exc_info.value.score == ell // 2
         assert type(exc_info.value.score) is int
 
+    @pytest.mark.parametrize(
+        "bound,kind",
+        [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int32),
+         (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64), (2**63, object)],
+    )
+    def test_matrix_takes_the_narrowest_type_that_holds_its_bound(self, bound, kind):
+        rows = [[bound, 0], [0, bound]]
+        matrix = codes._matrix(rows, bound)
+        assert matrix.dtype == kind
+        assert matrix.tolist() == rows
+        assert (-matrix).tolist() == [[-bound, 0], [0, -bound]]
+
     def test_rejects_numpy_coordinates(self):
         code = construct_ternary_perfect(2, 2)
         with pytest.raises(ValueError, match="coordinates must be integers"):
@@ -542,14 +554,17 @@ class TestDecode:
             decode(code, (4, 2, 2))
 
     def test_agrees_with_linear_scan(self):
-        code = Code(SimplexSpace(2, 6), ((6, 0, 0), (1, 4, 1), (0, 1, 5)))
-        for y in enumerate_space(code.space):
-            best_c, best_d, tied = bf_decode(code.codewords, y)
-            if tied:
-                with pytest.raises(AmbiguousDecodeError):
-                    decode(code, y)
-            else:
-                assert decode(code, y) == (best_c, best_d)
+        # Scores reach 2 * ell: 126 takes int8 matrices, 128 int16.
+        for code in (Code(SimplexSpace(2, 6), ((6, 0, 0), (1, 4, 1), (0, 1, 5))),
+                     Code(SimplexSpace(2, 63), ((63, 0, 0), (0, 63, 0), (0, 1, 62))),
+                     Code(SimplexSpace(2, 64), ((64, 0, 0), (0, 64, 0), (0, 1, 63)))):
+            for y in enumerate_space(code.space):
+                best_c, best_d, tied = bf_decode(code.codewords, y)
+                if tied:
+                    with pytest.raises(AmbiguousDecodeError):
+                        decode(code, y)
+                else:
+                    assert decode(code, y) == (best_c, best_d)
 
 
 def test_sphere_packing_identity():
