@@ -14,6 +14,13 @@ Their centers follow from the point's coordinates, so a ball is built only
 when the search first reaches its lowest point. Solutions are reported
 in the canonical order induced by the point enumeration.
 
+A ball's bitmask, taken from its lowest id, depends only on e and the
+center's coordinates 1..n (the ell-shift in the simplex module). Each
+enumerate_perfect_codes call starts an empty mask table; a
+verify_theorem_sweep call keeps one table for all its cells, so a mask
+built for one ell serves every other ell of the sweep, and the table is
+dropped when the sweep returns.
+
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
 optional orbit count identifies them.
@@ -120,7 +127,9 @@ def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
     return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
 
 
-def _exact_covers(space: SimplexSpace, e: int, *, max_solutions: int, node_budget: int):
+def _exact_covers(
+    space: SimplexSpace, e: int, masks: dict, *, max_solutions: int, node_budget: int
+):
     """Partitions of the space into two or more radius-e balls, and the node count.
 
     Each partition is a tuple of centers in the order they were chosen.
@@ -132,6 +141,12 @@ def _exact_covers(space: SimplexSpace, e: int, *, max_solutions: int, node_budge
     there. The first time the search reaches p it builds them, each as
     (center, bitmask of the ball's point ids shifted down by p, p).
     Depth-first, without recursion.
+
+    The bitmask of B(c, e) is that of its representative (e, c_1, ..., c_n),
+    cut to the space: `& (full >> p)`. masks maps representatives to their
+    unclipped bitmasks, shifted down by their lowest id (p again). It is
+    read and filled here, and lives as long as the caller keeps it: one
+    search, or every cell of one sweep.
     """
     starting: dict[int, list[tuple[Point, int, int]]] = {}
     spreads: dict = {}
@@ -149,10 +164,13 @@ def _exact_covers(space: SimplexSpace, e: int, *, max_solutions: int, node_budge
         else:
             p = (~covered & (covered + 1)).bit_length() - 1
             if p not in starting:
-                starting[p] = [
-                    (c, sum(((1 << len(r)) - 1) << (r.start - p) for r in ball_runs(c, e)), p)
-                    for c in _centers(point_at(space, p), e, spreads)
-                ]
+                clip, starting[p] = full >> p, []
+                for c in _centers(point_at(space, p), e, spreads):
+                    rep = (e,) + c[1:]
+                    if rep not in masks:
+                        runs = ball_runs(rep, e)
+                        masks[rep] = sum(((1 << len(r)) - 1) << (r.start - p) for r in runs)
+                    starting[p].append((c, masks[rep] & clip, p))
             rest = covered >> p
             stack.append(iter([b for b in starting[p] if not b[1] & rest]))
         # Backtrack to the deepest level with an untried candidate and take it.
@@ -179,6 +197,11 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
     definition; when e = 0 or ell <= e that leaves none, so the solver is
     not run. Every emitted code is re-verified with is_perfect.
     """
+    return _enumerate(problem, {})
+
+
+def _enumerate(problem: SearchProblem, masks: dict) -> SearchReport:
+    """enumerate_perfect_codes, taking ball masks from and adding them to masks."""
     space, e = problem.space, problem.e
     size = space.size()
     if size > problem.point_budget:
@@ -193,7 +216,7 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
     t0 = time.perf_counter()
     if e and space.ell > e:
         raw, nodes = _exact_covers(
-            space, e, max_solutions=problem.max_solutions, node_budget=problem.node_budget
+            space, e, masks, max_solutions=problem.max_solutions, node_budget=problem.node_budget
         )
     else:  # Each ball is one point or the whole space: the solver meets size + 1 nodes.
         raw, nodes = [], size + 1
@@ -332,14 +355,14 @@ def verify_theorem_sweep(
     silently dropped: a nonexistence confirmation is only as good as the
     range it actually covered. A grid of more cells than the point budget,
     or than DEFAULT_POINT_BUDGET if that is larger, is refused before any
-    cell is visited.
+    cell is visited. The cells share one table of ball masks (_exact_covers).
     """
     if n_max < 1 or ell_max < 1 or e_max < 1:
         raise ValueError("sweep bounds must all be >= 1")
     grid, limit = n_max * ell_max * e_max, max(point_budget, DEFAULT_POINT_BUDGET)
     if grid > limit:
         raise BudgetExceededError(f"sweep grid has {grid} cells, over the limit of {limit}")
-    cells = []
+    cells, masks = [], {}
     for n in range(1, n_max + 1):
         for ell in range(1, ell_max + 1):
             for e in range(1, e_max + 1):
@@ -348,7 +371,7 @@ def verify_theorem_sweep(
                     problem = SearchProblem(
                         SimplexSpace(n, ell), e, count_only=True, point_budget=point_budget
                     )
-                    report = enumerate_perfect_codes(problem)
+                    report = _enumerate(problem, masks)
                 except (BudgetExceededError, OverflowError):
                     cells.append(SweepCell(n, ell, e, predicted, None))
                 else:

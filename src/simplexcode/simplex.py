@@ -8,6 +8,14 @@ integer-valued here because coordinate sums are equal.
 Points are numbered by their position in enumeration order (point_at maps
 an id back to its point), and ball_runs, which lists a ball as ascending
 runs of consecutive ids, is the one place that decides ball membership.
+
+Ids do not depend on ell. The points before y in the (decreasing) order
+have z_0 >= y_0, so y's id in the space of ell equals the id of y - k*e_0
+in the space of ell - k for every k <= y_0: an id is fixed by y_1..y_n, and
+the ids below C(ell+n, n) are the tails summing to at most ell. Hence
+B(c, e) has the ids of B(c + k*e_0, e) when c_0 >= e, and when c_0 < e it
+is the ball of (e, c_1, ..., c_n) cut at C(ell+n, n): its points y with
+y_0 < e - c_0 are the ones past the space.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from simplexcode import (
     enumerate_space,
     neighbors,
     run_experiment,
+    verify_theorem_sweep,
 )
 from simplexcode.cli import main as cli_main
 
@@ -88,6 +89,11 @@ def test_criterion_3_no_codes_on_larger_alphabets():
             for e in range(1, (ell - 1) // 2 + 1):
                 found = search_cell(n, ell, e)
                 assert len(found) == 0, (n, ell, e)
+        # The closed forms, binary and ternary included, over every cell of a larger grid.
+        report = verify_theorem_sweep(5, 16, 4)
+        assert len(report.cells) == 320
+        assert not report.any_skipped
+        assert report.all_agree
 
 
 def _codes_from_criteria_1_and_2():

@@ -145,7 +145,7 @@ class TestAgainstCoverMatrix:
         expected, nodes = oracles._exact_covers(
             balls, max_solutions=max_solutions, node_budget=0
         )
-        got = search._exact_covers(space, e, max_solutions=max_solutions, node_budget=0)
+        got = search._exact_covers(space, e, {}, max_solutions=max_solutions, node_budget=0)
         assert got == ([tuple(points[c] for c in sol) for sol in expected], nodes)
 
     def test_centers_are_the_balls_starting_at_each_point(self):
@@ -175,6 +175,26 @@ class TestAgainstCoverMatrix:
         assert 0 < len(built) < space.size() / 10
 
 
+class TestSharedMasks:
+    """A sweep shares one mask table across its cells; a lone search starts a fresh one."""
+
+    def test_shared_table_solves_like_fresh_ones(self):
+        cells = [(n, ell, e) for n in range(6) for e in range(1, 5) for ell in range(e + 1, 13)]
+        fresh = {
+            (n, ell, e): search._exact_covers(
+                SimplexSpace(n, ell), e, {}, max_solutions=0, node_budget=0
+            )
+            for n, ell, e in cells
+        }
+        for descending in (False, True):
+            masks: dict = {}
+            for n, ell, e in sorted(cells, key=lambda c: c[1], reverse=descending):
+                got = search._exact_covers(
+                    SimplexSpace(n, ell), e, masks, max_solutions=0, node_budget=0
+                )
+                assert got == fresh[n, ell, e], (n, ell, e, descending)
+
+
 class TestTrivialCells:
     """e = 0 or ell <= e: each ball is one point or the whole space."""
 
@@ -187,7 +207,7 @@ class TestTrivialCells:
                         problem = SearchProblem(space, e, max_solutions=max_solutions)
                         report = enumerate_perfect_codes(problem)
                         _, nodes = search._exact_covers(
-                            space, e, max_solutions=max_solutions, node_budget=0
+                            space, e, {}, max_solutions=max_solutions, node_budget=0
                         )
                         assert (report.solution_count, report.solutions) == (0, ())
                         assert report.nodes_explored == nodes == space.size() + 1

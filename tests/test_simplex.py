@@ -315,6 +315,41 @@ class TestPointIds:
                 point_at(space, j)
 
 
+def shift(x, k):
+    """x with k added to coordinate 0."""
+    return (x[0] + k,) + x[1:]
+
+
+class TestShiftAlongCoordinateZero:
+    """An id depends on coordinates 1..n alone, so balls keep their ids as coordinate 0 grows."""
+
+    def test_ids_do_not_depend_on_coordinate_zero(self):
+        for n in range(0, 5):
+            for ell in range(0, 11):
+                for y, j in enumeration_ids(n, ell).items():
+                    for k in range(y[0] + 1):
+                        assert enumeration_ids(n, ell - k)[shift(y, -k)] == j, (y, k)
+
+    def test_balls_keep_their_runs_away_from_the_far_face(self):
+        for n in range(0, 5):
+            for ell in range(0, 11):
+                for c in enumeration_ids(n, ell):
+                    for e in range(0, c[0] + 1):
+                        runs = list(ball_runs(c, e))
+                        for k in range(1, 11 - ell):
+                            assert list(ball_runs(shift(c, k), e)) == runs, (c, e, k)
+
+    def test_clipped_balls_are_cut_representative_balls(self):
+        for n in range(0, 5):
+            for ell in range(0, 11):
+                size = SimplexSpace(n, ell).size()
+                for c in enumeration_ids(n, ell):
+                    for e in range(c[0] + 1, 5):
+                        rep = ball_runs(shift(c, e - c[0]), e)
+                        cut = [range(r.start, min(r.stop, size)) for r in rep]
+                        assert list(ball_runs(c, e)) == [r for r in cut if r], (c, e)
+
+
 def bfs_ids(x, e):
     """Ascending enumeration positions of the replaced breadth-first ball."""
     index = enumeration_ids(len(x) - 1, sum(x))
