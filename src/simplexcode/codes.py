@@ -34,10 +34,11 @@ from .simplex import (
 # million take about 3 s and 300 MB to build and write out.
 CONSTRUCT_WORD_BUDGET = 1_000_000
 
-# is_perfect refuses to walk more point ids than this: two million ids of a binary
-# code take 0.2-0.3 s and 11-14 MB, whether the code is perfect or its last balls
-# overlap. One-id runs cost the most, 2.5-3.8 us an id: on 61 symbols at e = 1 the
-# 520 codewords admitted walk 0.54M ids in 1.3-2.0 s and 71 MB.
+# is_perfect refuses to walk more point ids than this on n >= 2 (n = 1 has no
+# walk). Short runs cost the most: 222,778 codewords of (2, 1998) with disjoint
+# e = 1 balls, 2.0M ids priced, take 2.5-3.2 s and 80-97 MB, and 520 codewords
+# of (60, 20) at e = 1, priced 2.0M and walking 0.59M ids in one-id runs, 3.1-3.5 s
+# and 70-86 MB.
 VERIFY_ID_BUDGET = 2_000_000
 
 # Received vectors are decoded, and channel trials sampled, in blocks of about
@@ -205,20 +206,41 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     double-cover witness (p, earlier codeword, that codeword), where p is
     the lowest-id point of its ball that an earlier ball covers. Otherwise
     the witness is the first uncovered point in enumeration order.
-    Walks of more than VERIFY_ID_BUDGET ids, priced as min(space size,
-    codewords x _ball_bound), raise BudgetExceededError before they start.
-    The walk holds runs of consecutive ids, never single ids. It stops soon
-    after two balls overlap, at the latest once they hold more ids than the
-    space, so it never holds more than twice the priced ids.
+
+    Balls are held as runs of consecutive ids, never as single ids. On n = 1
+    the id of y is y_1, so B(c, e) is the one run [c_1 - min(r, c_1),
+    c_1 + min(r, c_0) + 1) with r = min(e, ell): every ball comes from one
+    array expression over the codewords' y_1 column, and no ball is walked.
+    At e = 0 the balls are the codewords themselves, so the code is perfect
+    iff it holds every point, and otherwise the first uncovered id is the
+    first position j where codeword j is not the point with id j.
+
+    On n != 1, verifies of more than VERIFY_ID_BUDGET ids, priced as
+    min(space size, codewords x _ball_bound), raise BudgetExceededError
+    before any ball is walked; n = 1 is not priced, as its work is a few
+    array passes over the codewords. The walk stops soon after two balls
+    overlap, at the latest once they hold more ids than the space, so it
+    never holds more than twice the priced ids.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    size = code.space.size()
-    ids = min(size, len(code.codewords) * _ball_bound(code.space, e))
-    if ids > VERIFY_ID_BUDGET:
-        raise BudgetExceededError(
-            f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
-        )
+    space, words = code.space, code.codewords
+    size = space.size()
+    if space.n != 1:
+        ids = min(size, len(words) * _ball_bound(space, e))
+        if ids > VERIFY_ID_BUDGET:
+            raise BudgetExceededError(
+                f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
+            )
+    if e == 0:  # codeword j has id >= j, with equality up to the first missing point
+        j = bisect_left(range(len(words)), True, key=lambda j: words[j] != point_at(space, j))
+        if j == size:
+            return PerfectnessResult(True)
+        return PerfectnessResult(False, uncovered=point_at(space, j))
+    if space.n == 1:  # every value is at most ell + 1 < 2**63
+        y, r = np.array([w[1] for w in words], dtype=np.int64), min(e, space.ell)
+        starts, stops = y - np.minimum(r, y), y + np.minimum(r, space.ell - y) + 1
+        return _witness(space, words, starts, stops, np.arange(1, len(words) + 1))
     starts, stops, ends, walked, check = [], [], [], 0, min(1024, size + 1)
     for c in code.codewords:
         for r in ball_runs(c, e):
@@ -233,14 +255,21 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
             if _by_start(starts, stops)[3]:
                 break
             check = min(2 * walked, size + 1)
-    starts, stops = np.array(starts), np.array(stops)
+    return _witness(space, words, np.array(starts), np.array(stops), ends)
+
+
+def _witness(space: SimplexSpace, words, starts, stops, ends) -> PerfectnessResult:
+    """is_perfect's result from the runs [starts, stops) of the balls of the
+    first len(ends) codewords, where the runs of codewords 0..w are the first
+    ends[w] runs and each codeword's runs ascend."""
+    size = space.size()
     start, stop, _, overlap = _by_start(starts, stops)
     if not overlap:  # the first uncovered id opens the first gap
         gaps = np.flatnonzero(start[1:] != stop[:-1])
         j = 0 if start[0] else int(stop[gaps[0]] if len(gaps) else stop[-1])
         if j == size:
             return PerfectnessResult(True)
-        return PerfectnessResult(False, uncovered=point_at(code.space, j))
+        return PerfectnessResult(False, uncovered=point_at(space, j))
     # w: the first codeword whose ball meets an earlier one (then so do all later prefixes).
     w = bisect_left(range(len(ends)), True,
                     key=lambda v: _by_start(starts[:ends[v]], stops[:ends[v]])[3])
@@ -252,7 +281,7 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     hit = np.flatnonzero(np.append(start, size)[k] < b)[0]
     p, earlier = max(a[hit], start[k[hit]]), np.searchsorted(ends, order[k[hit]], side="right")
     return PerfectnessResult(False, double_covered=(
-        point_at(code.space, int(p)), code.codewords[earlier], code.codewords[w]))
+        point_at(space, int(p)), words[earlier], words[w]))
 
 
 def _matrix(rows, bound: int) -> np.ndarray:

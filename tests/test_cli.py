@@ -145,15 +145,26 @@ class TestVerify:
 
         path = tmp_path / "two.json"
         big = 10**9
-        path.write_text(json.dumps({"n": 1, "ell": big, "e": 1, "codewords": [[big, 0], [0, big]]}))
+        path.write_text(json.dumps(
+            {"n": 2, "ell": big, "e": 1, "codewords": [[big, 0, 0], [0, 0, big]]}))
         with monkeypatch.context() as patched:
             patched.setattr("simplexcode.codes.ball_runs", refuse)
-            code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "100000000")
+            code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "10000")
         assert (code, stdout) == (3, "")
-        assert "400000002 point ids, over the budget" in stderr
+        assert "800080002 point ids, over the budget" in stderr
         code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "1")
         assert (code, stderr) == (1, "")
-        assert stdout == "not perfect: point [999999998,2] is uncovered\n"
+        assert stdout == "not perfect: point [999999998,2,0] is uncovered\n"
+
+    def test_binary_code_at_any_radius(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        big = 10**9
+        path.write_text(json.dumps({"n": 1, "ell": big, "e": 1, "codewords": [[big, 0], [0, big]]}))
+        for e, witness in [("1", "point [999999998,2] is uncovered"),
+                           ("100000000", "point [899999999,100000001] is uncovered"),
+                           (str(10**30), f"point [{big},0] is covered by both [{big},0] and [0,{big}]")]:
+            code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", e)
+            assert (code, stdout, stderr) == (1, f"not perfect: {witness}\n", "")
 
     @pytest.mark.parametrize("drop_first", [False, True])
     def test_wide_alphabet_code_file(self, tmp_path, capsys, drop_first):

@@ -13,7 +13,7 @@ any work. Constructions ask for lengths up to 40, or for lengths whose code
 would have more codewords than the construction budget, which is refused
 before any codeword is built. Verification sometimes asks for a radius at
 or above the verify id budget, on the drawn code or on the two-word code of
-(1, 10^9), whose balls is_perfect prices and refuses before any walk.
+(1, 10^9), whose balls is_perfect reads off in closed form without a walk.
 Sweeps run grids of at most 3 x 6 x 3 cells, or grids with a bound below 1
 or with more cells than the sweep's limit, which are refused before any
 cell is searched.
@@ -59,7 +59,7 @@ JSON_JUNK = st.one_of(
 OVERSIZED = st.integers(EVENT_WORK_BUDGET // _ROW_CELLS + 1, 10**12)
 
 # Radii at or above the verify id budget: on the two-word code of (1, 10^9)
-# a ball alone would walk more ids than the budget.
+# a ball alone holds more ids than the budget, which n = 1 does not price.
 BIG_RADII = st.integers(VERIFY_ID_BUDGET, 10**30).map(str)
 
 # Deeper than the JSON decoder's recursion limit: an array and an object.

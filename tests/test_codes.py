@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
     Code,
+    PerfectnessResult,
     SimplexSpace,
     ball_size,
     code_from_dict,
@@ -32,7 +34,7 @@ from simplexcode import (
     save_code,
 )
 from simplexcode import codes
-from simplexcode.simplex import ball_runs
+from simplexcode.simplex import ball_runs, point_at
 
 
 class TestCodeType:
@@ -227,37 +229,47 @@ class TestIsPerfect:
             raise AssertionError("a ball was walked")
 
         big = 10**9
-        code = Code(SimplexSpace(1, big), ((big, 0), (0, big)))
+        code = Code(SimplexSpace(2, big), ((big, 0, 0), (0, 0, big)))
         with monkeypatch.context() as patched:
             patched.setattr(codes, "ball_runs", refuse)
-            with pytest.raises(BudgetExceededError, match="400000002 point ids"):
-                is_perfect(code, 10**8)
-        # Priced at min(space size, codewords x bound): 2 x 5 ids at e = 2,
+            # 2 x (2e+1)^2 ids at e = 10^4.
+            with pytest.raises(BudgetExceededError, match="800080002 point ids"):
+                is_perfect(code, 10**4)
+        # Priced at min(space size, codewords x bound): 2 x 9 ids at e = 1,
         # and the 36 points of the space for the ternary e=2 code at e = 3
         # (3 x 49 ids would be more).
         ternary = construct_ternary_perfect(2, 2)
-        for code, e, need in [(code, 2, 10), (ternary, 3, 36)]:
+        for code, e, need in [(code, 1, 18), (ternary, 3, 36)]:
             monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", need)
             is_perfect(code, e)
             monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", need - 1)
             with pytest.raises(BudgetExceededError, match=f"{need} point ids"):
                 is_perfect(code, e)
 
-    @pytest.mark.parametrize("n,ell,ys,e,balls", [
+    def test_binary_codes_are_not_priced(self, monkeypatch):
+        # The balls of the two corners of (1, 10^9) at e = 10^8 hold 2 x (2e+1)
+        # ids, far over the budget: n = 1 reads them off in closed form.
+        big = 10**9
+        code = Code(SimplexSpace(1, big), ((big, 0), (0, big)))
+        monkeypatch.setattr(codes, "VERIFY_ID_BUDGET", 0)
+        assert is_perfect(code, 10**8).uncovered == (899_999_999, 100_000_001)
+        assert is_perfect(code, big // 2).double_covered == (
+            (big // 2, big // 2), (big, 0), (0, big))
+
+    @pytest.mark.parametrize("n,ell,words,e,balls", [
         # 5,456 points at e = 5: the check after 1,024 ids finds the overlap.
         (3, 30, None, 5, 12),
-        # The first two balls hold more ids than the space.
-        (1, 100, None, 50, 2),
-        # Disjoint balls up to id 1,100, then overlapping ones: the check after
-        # 1,026 ids finds none; the next comes once the balls outgrow the space.
-        (1, 1500, list(range(1, 1100, 3)) + list(range(1101, 1500)), 1, 501),
+        # The first two balls (55 and 65 ids) hold more ids than the space (66).
+        (2, 10, None, 9, 2),
+        # Disjoint balls (codewords on every third row and column) up to id
+        # 1,400, then every point: the check after 1,029 ids finds no overlap;
+        # the next comes once the balls outgrow the space.
+        (2, 55, [p for j, p in enumerate(enumerate_space(SimplexSpace(2, 55)))
+                 if j >= 1400 or p[0] % 3 == 1 and p[1] % 3 == 0], 1, 239),
     ])
-    def test_walk_stops_soon_after_two_balls_overlap(self, monkeypatch, n, ell, ys, e, balls):
+    def test_walk_stops_soon_after_two_balls_overlap(self, monkeypatch, n, ell, words, e, balls):
         space = SimplexSpace(n, ell)
-        if ys is None:  # every point of the space is a codeword
-            code = Code(space, tuple(enumerate_space(space)))
-        else:
-            code = Code(space, tuple((ell - y, y) for y in ys))
+        code = Code(space, tuple(enumerate_space(space) if words is None else words))
         walked = []
 
         def counting(x, r):
@@ -387,6 +399,22 @@ class TestAgainstOwnerDict:
                 rest = points[:drop] + points[drop + 1:]
                 self.assert_same(Code(space, tuple(rest or points)), 0)
 
+    def test_radius_zero_walks_no_ball(self, monkeypatch):
+        rng = random.Random(17)
+        cases = []
+        for _ in range(3000):
+            space = SimplexSpace(rng.randint(0, 4), rng.randint(0, 6))
+            points = list(enumerate_space(space))
+            k = rng.randint(1, len(points))
+            code = Code(space, tuple(points[:k] if rng.random() < 0.5 else rng.sample(points, k)))
+            cases.append((code, dict_is_perfect(code, 0)))
+        space = SimplexSpace(6, 33)
+        cases.append((Code(space, tuple(islice(enumerate_space(space), 20_000))),
+                      PerfectnessResult(False, uncovered=point_at(space, 20_000))))
+        monkeypatch.setattr(codes, "ball_runs", None)
+        for code, expected in cases:
+            assert is_perfect(code, 0) == expected, code
+
     def test_one_codeword_swallows_the_space(self):
         for n, ell in [(0, 3), (1, 5), (2, 3), (3, 2), (60, 1)]:
             space = SimplexSpace(n, ell)
@@ -488,6 +516,96 @@ class TestAgainstIdExpansion:
 
         perfect = peak(construct_binary_perfect(299_999, 7))
         assert peak(late_overlap(299_999, 7)) <= 1.5 * perfect
+
+
+@st.composite
+def binary_codes_and_radii(draw):
+    """A code of (1, ell) with ell <= 40, and a radius from 0 to past ell: a
+    random subset, a prefix of enumeration order, or a perfect construction,
+    perhaps perturbed."""
+    ell = draw(st.integers(0, 40))
+    space = SimplexSpace(1, ell)
+    points = list(enumerate_space(space))
+    kind = draw(st.sampled_from(["subset", "prefix", "construction"]))
+    if kind == "construction" and ell >= 3:
+        e = draw(st.integers(1, (ell - 1) // 2))
+        code = construct_binary_perfect(ell, e, draw(st.integers(1, count_binary_perfect(ell, e))))
+        if draw(st.booleans()):
+            code = perturbed(draw(st.randoms(use_true_random=False)), code)
+    elif kind == "prefix":
+        code = Code(space, tuple(points[:draw(st.integers(1, len(points)))]))
+    else:
+        code = Code(space, tuple(draw(st.lists(st.sampled_from(points), min_size=1, unique=True))))
+    return code, draw(st.integers(0, ell + 3))
+
+
+class TestBinaryClosedForm:
+    """On n = 1 every ball is one run, read off the codewords' y_1 column; the
+    replaced check walked each codeword's ball with ball_runs."""
+
+    def assert_same(self, code, e):
+        result = is_perfect(code, e)
+        assert result == expanded_is_perfect(code, e) == dict_is_perfect(code, e), (code, e)
+        return result
+
+    @settings(max_examples=500, deadline=None)
+    @given(binary_codes_and_radii())
+    def test_drawn_codes(self, case):
+        self.assert_same(*case)
+
+    def test_edges(self):
+        for ell in (0, 1, 2, 9):
+            space = SimplexSpace(1, ell)
+            points = list(enumerate_space(space))
+            for words in (points, points[:1], points[-1:], points[::2]):
+                for e in (0, 1, ell, ell + 1, ell + 5):
+                    self.assert_same(Code(space, tuple(words)), e)
+
+    def test_bisection_finds_the_first_overlap(self):
+        # 601 codewords; moving codeword k one unit toward k + 1 makes k + 1
+        # the first codeword whose ball meets an earlier one.
+        base = construct_binary_perfect(3000, 2).codewords
+        for moved in ([1], [300], [599], [17, 450], [450, 452], [0, 599]):
+            words = list(base)
+            for k in moved:
+                words[k] = (words[k][0] - 1, words[k][1] + 1)
+            result = self.assert_same(Code(SimplexSpace(1, 3000), tuple(words)), 2)
+            assert result.double_covered[2] == words[min(moved) + 1]
+
+    def test_no_ball_is_walked(self, monkeypatch):
+        cases = [(construct_binary_perfect(ell, e, m), r) for ell, e, m in [(20, 1, 1), (31, 2, 2)]
+                 for r in (0, e - 1, e, e + 1, 40)]
+        cases += [(late_overlap(299, 7), 7), (Code(SimplexSpace(1, 0), ((0, 0),)), 3)]
+        expected = [dict_is_perfect(code, e) for code, e in cases]
+        monkeypatch.setattr(codes, "ball_runs", None)
+        assert [is_perfect(code, e) for code, e in cases] == expected
+
+    def test_runs_equal_the_walk(self, monkeypatch):
+        # e = 0 takes the radius-0 rule, which holds no runs.
+        seen = []
+        monkeypatch.setattr(codes, "_witness", lambda *args: seen.append(args[2:4]))
+        for ell in range(41):
+            space = SimplexSpace(1, ell)
+            points = tuple(enumerate_space(space))
+            for e in range(1, 21):
+                is_perfect(Code(space, points), e)
+                starts, stops = seen.pop()
+                assert [[range(a, b)] for a, b in zip(starts.tolist(), stops.tolist())] == [
+                    list(ball_runs(c, e)) for c in points], (ell, e)
+
+    @pytest.mark.parametrize("e", [1, 10**6, 2**70])
+    def test_longest_space(self, e):
+        # ell + 1 = 2**63 - 1 points: every run bound fits in int64.
+        ell = 2**63 - 2
+        space = SimplexSpace(1, ell)
+        for words in [((ell, 0),), ((0, ell),), ((ell, 0), (0, ell))]:
+            result = is_perfect(Code(space, words), e)
+            if len(words) == 2 and e > ell:  # the oracle would spell out 2**64 ids
+                assert result.double_covered == ((ell, 0), (ell, 0), (0, ell))
+            else:
+                assert result == expanded_is_perfect(Code(space, words), e)
+        assert is_perfect(Code(space, ((ell, 0), (0, ell))), e).uncovered == (
+            None if e > ell else (ell - e - 1, e + 1))
 
 class TestDecode:
     def test_example(self):
