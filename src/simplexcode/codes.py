@@ -210,37 +210,29 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     Balls are held as runs of consecutive ids, never as single ids. On n = 1
     the id of y is y_1, so B(c, e) is the one run [c_1 - min(r, c_1),
     c_1 + min(r, c_0) + 1) with r = min(e, ell): every ball comes from one
-    array expression over the codewords' y_1 column, and no ball is walked.
-    At e = 0 the balls are the codewords themselves, so the code is perfect
-    iff it holds every point, and otherwise the first uncovered id is the
-    first position j where codeword j is not the point with id j.
+    array expression over the codewords' y_1 column, and no ball is walked
+    (also at e = 0, where r = 0 makes each run the codeword's own id).
 
     On n != 1, verifies of more than VERIFY_ID_BUDGET ids, priced as
     min(space size, codewords x _ball_bound), raise BudgetExceededError
-    before any ball is walked; n = 1 is not priced, as its work is a few
-    array passes over the codewords. The walk stops soon after two balls
-    overlap, at the latest once they hold more ids than the space, so it
-    never holds more than twice the priced ids.
+    before any ball is walked, also at e = 0; n = 1 is not priced, as its
+    work is a few array passes over the codewords. The walk stops soon after
+    two balls overlap, at the latest once they hold more ids than the space,
+    so it never holds more than twice the priced ids.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
     space, words = code.space, code.codewords
     size = space.size()
-    if space.n != 1:
-        ids = min(size, len(words) * _ball_bound(space, e))
-        if ids > VERIFY_ID_BUDGET:
-            raise BudgetExceededError(
-                f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
-            )
-    if e == 0:  # codeword j has id >= j, with equality up to the first missing point
-        j = bisect_left(range(len(words)), True, key=lambda j: words[j] != point_at(space, j))
-        if j == size:
-            return PerfectnessResult(True)
-        return PerfectnessResult(False, uncovered=point_at(space, j))
     if space.n == 1:  # every value is at most ell + 1 < 2**63
         y, r = np.array([w[1] for w in words], dtype=np.int64), min(e, space.ell)
         starts, stops = y - np.minimum(r, y), y + np.minimum(r, space.ell - y) + 1
         return _witness(space, words, starts, stops, np.arange(1, len(words) + 1))
+    ids = min(size, len(words) * _ball_bound(space, e))
+    if ids > VERIFY_ID_BUDGET:
+        raise BudgetExceededError(
+            f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
+        )
     starts, stops, ends, walked, check = [], [], [], 0, min(1024, size + 1)
     for c in code.codewords:
         for r in ball_runs(c, e):

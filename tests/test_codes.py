@@ -399,7 +399,7 @@ class TestAgainstOwnerDict:
                 rest = points[:drop] + points[drop + 1:]
                 self.assert_same(Code(space, tuple(rest or points)), 0)
 
-    def test_radius_zero_walks_no_ball(self, monkeypatch):
+    def test_radius_zero_random_codes(self):
         rng = random.Random(17)
         cases = []
         for _ in range(3000):
@@ -411,7 +411,6 @@ class TestAgainstOwnerDict:
         space = SimplexSpace(6, 33)
         cases.append((Code(space, tuple(islice(enumerate_space(space), 20_000))),
                       PerfectnessResult(False, uncovered=point_at(space, 20_000))))
-        monkeypatch.setattr(codes, "ball_runs", None)
         for code, expected in cases:
             assert is_perfect(code, 0) == expected, code
 
@@ -581,13 +580,12 @@ class TestBinaryClosedForm:
         assert [is_perfect(code, e) for code, e in cases] == expected
 
     def test_runs_equal_the_walk(self, monkeypatch):
-        # e = 0 takes the radius-0 rule, which holds no runs.
         seen = []
         monkeypatch.setattr(codes, "_witness", lambda *args: seen.append(args[2:4]))
         for ell in range(41):
             space = SimplexSpace(1, ell)
             points = tuple(enumerate_space(space))
-            for e in range(1, 21):
+            for e in range(21):
                 is_perfect(Code(space, points), e)
                 starts, stops = seen.pop()
                 assert [[range(a, b)] for a, b in zip(starts.tolist(), stops.tolist())] == [
