@@ -2,11 +2,16 @@
 
 Exit status contract: 0 success/verified, 1 domain negative (not perfect,
 sweep disagreement), 2 usage or format error, 3 resource budget exceeded.
+
+The argument parser is built once per process, on the first call to main,
+and reused: parsing keeps no state in it, as each call gets a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -179,6 +184,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexcode",

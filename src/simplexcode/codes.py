@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .simplex import (
 )
 
 # construct_binary_perfect refuses to build more codewords than this: a
-# million take about 3 s and 300 MB to build and write out.
+# million take about 3 s and 280 MB to build and write out.
 CONSTRUCT_WORD_BUDGET = 1_000_000
 
 # is_perfect refuses to walk more point ids than this on n >= 2 (n = 1 has no
@@ -65,18 +65,28 @@ class Code:
     radius_claim: int | None = None
 
     def __post_init__(self) -> None:
-        words = [make_point(self.space, w) for w in self.codewords]
-        if not words:
-            raise ValueError("a code needs at least one codeword")
-        if len(set(words)) != len(words):
-            seen: set[Point] = set()
-            for w in words:
-                if w in seen:
-                    raise ValueError(f"duplicate codeword {format_point(w)}")
-                seen.add(w)
+        rows: list[Point] = []
+        try:
+            rows.extend(map(tuple, self.codewords))
+        except TypeError:  # a codeword that is not iterable: earlier bad rows speak first
+            for w in rows:
+                make_point(self.space, w)
+            raise
+        words = _canonical_order(self.space, rows)
+        if words is None:  # the loop decides, and names the first bad codeword
+            words = [make_point(self.space, w) for w in rows]
+            if not words:
+                raise ValueError("a code needs at least one codeword")
+            if len(set(words)) != len(words):
+                seen: set[Point] = set()
+                for w in words:
+                    if w in seen:
+                        raise ValueError(f"duplicate codeword {format_point(w)}")
+                    seen.add(w)
+            words.sort(reverse=True)
         if self.radius_claim is not None and self.radius_claim < 0:
             raise ValueError(f"radius_claim must be >= 0, got {self.radius_claim}")
-        object.__setattr__(self, "codewords", tuple(sorted(words, reverse=True)))
+        object.__setattr__(self, "codewords", tuple(words))
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -87,6 +97,34 @@ class Code:
     def __repr__(self) -> str:
         words = " ".join(format_point(w) for w in self.codewords)
         return f"<Code n={self.space.n} ell={self.space.ell} e={self.radius_claim} {words}>"
+
+
+def _canonical_order(space: SimplexSpace, rows: list[Point]) -> list[Point] | None:
+    """rows in canonical order, checked in array passes, when they are
+    distinct points of the space; None when any check fails.
+
+    Only exact ints pass: a bool is no coordinate, and a subclass of int may
+    redefine the comparisons and hashing that Code's per-codeword loop sorts
+    and finds duplicates with. Entries in [0, ell] keep every row sum at most
+    (n+1) * ell, so below 2**63 nothing overflows; larger spaces take the loop.
+    """
+    width, ell = space.n + 1, space.ell
+    if width * ell >= _INT64_LIMIT or set(map(len, rows)) != {width}:
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    try:
+        a = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+    except OverflowError:
+        return None
+    a = a.reshape(len(rows), width)
+    if a.min() < 0 or a.max() > ell or (a.sum(axis=1) != ell).any():
+        return None
+    order = np.lexsort(a.T[::-1])[::-1]  # decreasing, column 0 first
+    a = a[order]
+    if (a[1:] == a[:-1]).all(axis=1).any():
+        return None
+    return list(map(rows.__getitem__, order.tolist()))
 
 
 def count_binary_perfect(ell: int, e: int) -> int:
@@ -346,10 +384,9 @@ def code_from_dict(obj) -> Code:
         raise ValueError("e must be null or a nonnegative integer")
     if not isinstance(words, list) or not words:
         raise ValueError("codewords must be a nonempty list")
-    for w in words:
-        if not isinstance(w, list):
-            raise ValueError("each codeword must be a list of integers")
-    return Code(SimplexSpace(n, ell), tuple(tuple(w) for w in words), radius_claim=e)
+    if not all(map(isinstance, words, repeat(list))):
+        raise ValueError("each codeword must be a list of integers")
+    return Code(SimplexSpace(n, ell), words, radius_claim=e)
 
 
 def dumps_code(code: Code) -> str:

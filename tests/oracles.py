@@ -50,6 +50,9 @@ sorted tally's keys and counts. counter_exhaustive_run is
 channel._exhaustive_run as it merged the DP's states in a Counter keyed
 by (sent index, tuple of counts), before channel._tally merged them as
 arrays; kept unchanged, it is the third exhaustive oracle.
+loop_codewords is Code.__post_init__'s codeword check as it ran before
+the array passes: a make_point per codeword, the duplicate set, then a
+sort. Kept unchanged, it pins the canonical order and every error.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from simplexcode import (
     enumerate_space,
 )
 from simplexcode.channel import _event, _rng, _schedule
-from simplexcode.simplex import ball_runs, point_at
+from simplexcode.simplex import ball_runs, format_point, make_point, point_at
 
 SymbolSequence = tuple[int, ...]
 
@@ -251,6 +254,20 @@ def expanded_is_perfect(code: Code, e: int) -> PerfectnessResult:
     k = repeat[tags[repeat] == w][0]
     return PerfectnessResult(False, double_covered=(
         point_at(code.space, int(pts[k])), code.codewords[tags[k - 1]], code.codewords[w]))
+
+
+def loop_codewords(space: SimplexSpace, codewords) -> tuple[Point, ...]:
+    words = [make_point(space, w) for w in codewords]
+    if not words:
+        raise ValueError("a code needs at least one codeword")
+    if len(set(words)) != len(words):
+        seen: set[Point] = set()
+        for w in words:
+            if w in seen:
+                raise ValueError(f"duplicate codeword {format_point(w)}")
+            seen.add(w)
+    return tuple(sorted(words, reverse=True))
+
 
 def bf_decode(codewords, y):
     """Linear-scan nearest codeword; returns (codeword, distance, tied_flag)."""

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import time
 
 import pytest
 
-from simplexcode import format_point
+from simplexcode import cli, format_point
 from simplexcode.cli import main
 
 
@@ -511,3 +513,61 @@ def test_sweep_byte_identical_across_threads(capsys):
         assert code == 0
         outputs.add(stdout)
     assert len(outputs) == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a reused parser answers every
+    call as a freshly built one does."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for ell in range(3, 23):
+            assert main(["search", "--n", "1", "--ell", str(ell), "--e", "1", "--count-only"]) == 0
+        capsys.readouterr()
+        assert builds.count("simplexcode") == 1
+
+    def test_same_answers_as_a_fresh_parser(self, tmp_path, capsys):
+        code, cfg = tmp_path / "t1.json", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": "t1.json", "substitutions": 2, "trials": 40, "seed": 5}))
+        search = ["search", "--n", "2", "--ell", "7", "--e", "2", "--format", "json"]
+        sweep = ["sweep", "--n-max", "2", "--ell-max", "4", "--e-max", "1", "--format", "tsv"]
+        calls = [
+            ["construct", "--alphabet", "3", "--e", "1", "--variant", "2", "--out", str(code)],
+            ["construct", "--alphabet", "3", "--e", "1", "--out", str(code)],
+            [*search, "--max-solutions", "1", "--orbits", "--count-only", "--point-budget", "50"],
+            search,
+            ["search", "--n", "x", "--ell", "7", "--e", "2"],
+            ["--help"],
+            [*sweep, "--threads", "3", "--point-budget", "5"],
+            sweep,
+            ["verify", "--code", str(code), "--e", "1"],
+            ["verify", "--code", str(code), "--e", "2"],
+            ["search", "--help"],
+            ["simulate", "--config", str(cfg), "--threads", "2"],
+            ["simulate", "--config", str(tmp_path / "missing.json")],
+            ["sweep", "--n-max", "2"],
+        ]
+
+        def answer(argv):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # usage errors and --help
+                status = exc.code
+            out, err = capsys.readouterr()
+            return status, re.sub(r'"wall_time": [^\n]*', "", out), err
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(answer(argv))
+        reused = [answer(argv) for argv in calls]
+        assert [status for status, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 3, 0, 0, 1, 0, 0, 2, 2]
+        assert reused == fresh

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_ball, bf_decode, dict_is_perfect, expanded_is_perfect
+from oracles import bf_ball, bf_decode, dict_is_perfect, expanded_is_perfect, loop_codewords
 from simplexcode import (
     AmbiguousDecodeError,
     BudgetExceededError,
@@ -57,6 +57,130 @@ class TestCodeType:
     def test_rejects_negative_radius_claim(self):
         with pytest.raises(ValueError, match="radius_claim"):
             Code(SimplexSpace(1, 8), ((7, 1),), radius_claim=-1)
+
+
+class Sub(int):
+    """An int subclass: the loop accepts it as a coordinate."""
+
+
+# Coordinates the loop rejects, or that leave int64: bools, floats, a string,
+# None, negatives and values at or past 2**63 - 2.
+BAD_COORDS = st.one_of(
+    st.sampled_from([True, False, 0.5, 2.0, "1", None]),
+    st.integers(-3, -1),
+    st.integers(2**63 - 2, 2**64 + 2),
+)
+
+# Small spaces, and spaces whose coordinates or row sums approach or pass
+# int64: the loop takes (0, 10**30) and (1, 2**63 - 2), the array passes
+# (1, 2**62 - 1) with row sums near 2**62.
+CODEWORD_SPACES = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 8)),
+    st.sampled_from([(0, 10**30), (1, 2**63 - 2), (1, 2**62 - 1), (2, 3 * 10**9)]),
+)
+
+
+@st.composite
+def codeword_rows(draw):
+    """A space and codewords for it: points in shuffled order, perhaps with a
+    duplicate, perhaps with rows that are lists, and perhaps with a few rows
+    broken (a bad coordinate, a wrong length, a scalar for a row) or given
+    an int subclass coordinate."""
+    n, ell = draw(CODEWORD_SPACES)
+
+    def point():
+        cuts = sorted(draw(st.lists(st.integers(0, ell), min_size=n, max_size=n)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, ell]))
+
+    rows = list(dict.fromkeys(point() for _ in range(draw(st.integers(0, 10)))))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        if not isinstance(rows[i], tuple):  # already a scalar
+            continue
+        row = list(rows[i])
+        kind = draw(st.sampled_from(["coord", "int", "long", "short", "scalar"] if row else ["long"]))
+        j = draw(st.integers(0, len(row) - 1)) if row else 0
+        if kind == "coord":
+            row[j] = draw(BAD_COORDS)
+        elif kind == "int":
+            row[j] = Sub(row[j])
+        elif kind == "long":
+            row.append(draw(st.integers(0, 2)))
+        elif kind == "short":
+            row.pop()
+        rows[i] = draw(st.integers(0, 3)) if kind == "scalar" else tuple(row)
+    if draw(st.booleans()):
+        rows = [list(r) if isinstance(r, tuple) else r for r in rows]
+    return SimplexSpace(n, ell), rows
+
+
+def outcome(build):
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstCodewordLoop:
+    """Code checks its codewords in array passes and takes the replaced
+    per-codeword loop only when a check fails; oracles.loop_codewords is that
+    loop as it ran on every code."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(codeword_rows())
+    def test_same_order_and_errors(self, case):
+        space, rows = case
+        expected = outcome(lambda: loop_codewords(space, rows))
+        assert outcome(lambda: Code(space, rows).codewords) == expected
+        # The array passes accept exactly the codes of exact ints that fit in
+        # int64 which the loop accepts, and order them as it does.
+        fits = all(
+            isinstance(r, (tuple, list)) and all(type(c) is int for c in r) for r in rows
+        ) and (space.n + 1) * space.ell < 2**63
+        if fits and isinstance(expected, tuple) and isinstance(expected[0], tuple):
+            assert tuple(codes._canonical_order(space, [tuple(r) for r in rows])) == expected
+        elif fits:
+            assert codes._canonical_order(space, [tuple(r) for r in rows]) is None
+
+    @pytest.mark.parametrize(
+        "n, ell, rows",
+        [
+            (1, 8, [(7, 1), (7, 1), (7, 2)]),  # the bad row comes after a duplicate
+            (1, 8, [(7, 1), (1, 7), (4, 4), (1, 7), (8, 0)]),
+            (1, 8, [(7, 1), (True, 7)]),
+            (1, 8, [(7, 1), (Sub(1), Sub(7))]),
+            (1, 8, [(-1, 9), (7, 1)]),
+            (2, 8, [(4, 4, 0), (-1, 4, 5)]),  # sums to ell, each entry at most ell
+            (2, 1, [(2**63 - 1, 2**63 - 1, 3)]),  # an int64 row sum wraps to ell
+            (1, 8, [(7, 1), (1, 7, 0)]),
+            (1, 8, [(7, 1), 5]),
+            (1, 8, [(7, 2), 5]),
+            (1, 2**62 - 1, [(2**63 - 1, 2**63 - 1)]),  # in int64, over ell
+            (1, 2**62 - 1, [(2**62 - 1, 0), (0, 2**62 - 1), (2**61, 2**61 - 1)]),
+            (1, 2**63 - 2, [(2**63 - 2, 0), (0, 2**63 - 2), (2**62, 2**62 - 2)]),
+            (0, 10**30, [(10**30,)]),
+            (0, 10**30, [(10**30,), (10**30,)]),
+            (2, 3, []),
+        ],
+    )
+    def test_pinned_cases(self, n, ell, rows):
+        space = SimplexSpace(n, ell)
+        assert outcome(lambda: Code(space, rows).codewords) == outcome(
+            lambda: loop_codewords(space, rows)
+        )
+
+    def test_code_files_give_the_loops_errors(self):
+        obj = {"n": 1, "ell": 8, "e": 1, "codewords": [[7, 1], [7, 1], [1, 7.0]]}
+        with pytest.raises(ValueError, match=r"^coordinates must be integers, got 7\.0$"):
+            code_from_dict(obj)
+        obj["codewords"] = [[1, 7], [4, 4], [7, 1], [4, 4]]
+        with pytest.raises(ValueError, match=r"^duplicate codeword \[4,4\]$"):
+            code_from_dict(obj)
+        obj["codewords"] = [[1, 7], [4, 4], [7, 1]]
+        assert code_from_dict(obj).codewords == ((7, 1), (4, 4), (1, 7))
 
 
 class TestBinaryParams:
