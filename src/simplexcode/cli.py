@@ -82,7 +82,7 @@ def _cmd_search(args) -> int:
         print(
             f"n={args.n} ell={args.ell} e={args.e}: "
             f"{report.solution_count} perfect code(s), "
-            f"{report.nodes_explored} nodes, {report.wall_time:.3f}s"
+            f"{report.nodes_explored} nodes"
         )
         if report.orbit_count is not None:
             print(f"orbits under coordinate permutation: {report.orbit_count}")

@@ -29,7 +29,6 @@ optional orbit count identifies them.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -46,8 +45,7 @@ class SearchProblem:
 
     max_solutions = 0 means unbounded; otherwise the search stops after the
     first max_solutions codes it meets in depth-first order. point_budget
-    bounds the space size and the number of coordinates per point;
-    node_budget (0 = unbounded) bounds search-tree nodes.
+    bounds the space size and the number of coordinates per point.
     """
 
     space: SimplexSpace
@@ -56,12 +54,13 @@ class SearchProblem:
     count_only: bool = False
     symmetry_reduction: bool = False
     point_budget: int = DEFAULT_POINT_BUDGET
-    node_budget: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.e, int) or isinstance(self.e, bool):
+            raise ValueError(f"e must be an integer, got {self.e!r}")
         if self.e < 0:
             raise ValueError(f"e must be >= 0, got {self.e}")
-        for name in ("max_solutions", "point_budget", "node_budget"):
+        for name in ("max_solutions", "point_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -75,7 +74,6 @@ class SearchReport:
     solutions: tuple[Code, ...] | None
     orbit_count: int | None
     nodes_explored: int
-    wall_time: float
 
     def to_dict(self) -> dict:
         p = self.problem
@@ -88,7 +86,6 @@ class SearchReport:
                 "count_only": p.count_only,
                 "symmetry_reduction": p.symmetry_reduction,
                 "point_budget": p.point_budget,
-                "node_budget": p.node_budget,
             },
             "solution_count": self.solution_count,
         }
@@ -99,7 +96,6 @@ class SearchReport:
         if self.orbit_count is not None:
             out["orbit_count"] = self.orbit_count
         out["nodes_explored"] = self.nodes_explored
-        out["wall_time"] = self.wall_time
         return out
 
     def to_json(self) -> str:
@@ -127,9 +123,7 @@ def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
     return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
 
 
-def _exact_covers(
-    space: SimplexSpace, e: int, masks: dict, *, max_solutions: int, node_budget: int
-):
+def _exact_covers(space: SimplexSpace, e: int, masks: dict, *, max_solutions: int):
     """Partitions of the space into two or more radius-e balls, and the node count.
 
     Each partition is a tuple of centers in the order they were chosen.
@@ -154,8 +148,6 @@ def _exact_covers(
     covered, chosen, stack, sols, nodes = 0, [], [], [], 0
     while True:
         nodes += 1
-        if node_budget and nodes > node_budget:
-            raise BudgetExceededError(f"search exceeded node budget of {node_budget}")
         if covered == full:
             if len(chosen) >= 2:
                 sols.append(tuple(b[0] for b in chosen))
@@ -213,15 +205,10 @@ def _enumerate(problem: SearchProblem, masks: dict) -> SearchReport:
             f"points have {space.n + 1} coordinates, over the point budget of "
             f"{problem.point_budget}"
         )
-    t0 = time.perf_counter()
     if e and space.ell > e:
-        raw, nodes = _exact_covers(
-            space, e, masks, max_solutions=problem.max_solutions, node_budget=problem.node_budget
-        )
+        raw, nodes = _exact_covers(space, e, masks, max_solutions=problem.max_solutions)
     else:  # Each ball is one point or the whole space: the solver meets size + 1 nodes.
         raw, nodes = [], size + 1
-        if problem.node_budget and nodes > problem.node_budget:
-            raise BudgetExceededError(f"search exceeded node budget of {problem.node_budget}")
 
     codes = []
     for sol in raw:
@@ -234,14 +221,12 @@ def _enumerate(problem: SearchProblem, masks: dict) -> SearchReport:
     orbit_count = None
     if problem.symmetry_reduction:
         orbit_count = len({canonicalize_code(c).codewords for c in codes})
-    wall_time = time.perf_counter() - t0
     return SearchReport(
         problem=problem,
         solution_count=len(codes),
         solutions=None if problem.count_only else tuple(codes),
         orbit_count=orbit_count,
         nodes_explored=nodes,
-        wall_time=wall_time,
     )
 
 

@@ -44,6 +44,9 @@ class SimplexSpace:
     ell: int
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("ell", self.ell)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.ell < 0:

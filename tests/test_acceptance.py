@@ -193,3 +193,19 @@ def test_criterion_7_determinism(tmp_path, capsys):
             assert status == 0
             sim_outputs.add(out)
         assert len(sim_outputs) == 1
+
+        # Search reports and verify answers: three runs, one stdout.
+        search = ["search", "--n", "2", "--ell", "7", "--e", "2"]
+        for argv, expected_status in [
+            ([*search, "--format", "json", "--orbits"], 0),
+            ([*search, "--format", "json", "--count-only"], 0),
+            ([*search, "--format", "json", "--max-solutions", "1"], 0),
+            ([*search, "--orbits"], 0),
+            (["verify", "--code", str(code_path), "--e", "2"], 0),
+            (["verify", "--code", str(code_path), "--e", "1"], 1),  # prints a witness
+        ]:
+            outputs = set()
+            for _ in range(3):
+                assert cli_main(argv) == expected_status, argv
+                outputs.add(capsys.readouterr().out)
+            assert len(outputs) == 1, argv

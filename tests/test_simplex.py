@@ -98,6 +98,26 @@ class TestSpace:
         with pytest.raises(ValueError):
             SimplexSpace(2, -1)
 
+    @pytest.mark.parametrize(
+        "n,ell,bad",
+        [
+            (True, 3, "n"),
+            (False, 3, "n"),
+            (2, True, "ell"),
+            (2, 7.0, "ell"),
+            (-1.0, 7, "n"),  # refused as a float before the range check
+            (2, "7", "ell"),
+            (2, None, "ell"),
+            (2, np.int64(7), "ell"),
+            (np.int64(2), 7, "n"),
+        ],
+    )
+    def test_sizes_must_be_ints(self, n, ell, bad):
+        value = n if bad == "n" else ell
+        with pytest.raises(ValueError) as info:
+            SimplexSpace(n, ell)
+        assert str(info.value) == f"{bad} must be an integer, got {value!r}"
+
     def test_size_overflow_detected(self):
         with pytest.raises(OverflowError):
             SimplexSpace(40, 40)
