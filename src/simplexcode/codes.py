@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, combinations, repeat
 from pathlib import Path
 
@@ -51,30 +51,26 @@ _INT64_LIMIT = 2**63
 _INT_TYPES = ((2**7, np.int8), (2**15, np.int16), (2**31, np.int32), (_INT64_LIMIT, np.int64))
 
 
-@dataclass(frozen=True)
 class Code:
     """A duplicate-free set of codewords in one simplex.
 
-    Codewords are normalized to the canonical order (lexicographically
-    decreasing, the same order the space is enumerated in). radius_claim is
-    carried metadata only; call is_perfect to actually check it.
+    The codewords are held as `matrix`, one read-only row per codeword in the
+    canonical order (lexicographically decreasing, the same order the space
+    is enumerated in): int64 when (n+1) * ell < 2**63, so no row sum
+    overflows, and exact Python integers otherwise. `codewords`, the same rows
+    as tuples of ints, is built from it on first use and then kept.
+    radius_claim, None or an integer >= 0, is carried metadata only; call
+    is_perfect to actually check it. Codes are immutable, and compare and
+    hash on (space, codewords, radius_claim).
     """
 
-    space: SimplexSpace
-    codewords: tuple[Point, ...]
-    radius_claim: int | None = None
+    __slots__ = ("space", "matrix", "radius_claim", "_codewords")
 
-    def __post_init__(self) -> None:
-        rows: list[Point] = []
-        try:
-            rows.extend(map(tuple, self.codewords))
-        except TypeError:  # a codeword that is not iterable: earlier bad rows speak first
-            for w in rows:
-                make_point(self.space, w)
-            raise
-        words = _canonical_order(self.space, rows)
-        if words is None:  # the loop decides, and names the first bad codeword
-            words = [make_point(self.space, w) for w in rows]
+    def __init__(self, space: SimplexSpace, codewords, radius_claim: int | None = None) -> None:
+        rows = list(codewords)
+        matrix = _canonical_order(space, rows)
+        if matrix is None:  # the loop decides, and names the first bad codeword
+            words = [make_point(space, w) for w in rows]
             if not words:
                 raise ValueError("a code needs at least one codeword")
             if len(set(words)) != len(words):
@@ -84,12 +80,41 @@ class Code:
                         raise ValueError(f"duplicate codeword {format_point(w)}")
                     seen.add(w)
             words.sort(reverse=True)
-        if self.radius_claim is not None and self.radius_claim < 0:
-            raise ValueError(f"radius_claim must be >= 0, got {self.radius_claim}")
-        object.__setattr__(self, "codewords", tuple(words))
+            # int(): an int subclass's coordinates are held as exact ints.
+            matrix = np.array([[int(c) for c in w] for w in words], dtype=_word_type(space))
+        _set_fields(self, space, matrix, radius_claim)
+
+    @classmethod
+    def _of(cls, space: SimplexSpace, matrix: np.ndarray, radius_claim: int | None) -> Code:
+        """The code of `matrix`, whose rows are distinct points of the space
+        in canonical order, of the space's word type."""
+        code = object.__new__(cls)
+        _set_fields(code, space, matrix, radius_claim)
+        return code
+
+    @property
+    def codewords(self) -> tuple[Point, ...]:
+        if self._codewords is None:
+            object.__setattr__(self, "_codewords", tuple(map(tuple, self.matrix.tolist())))
+        return self._codewords
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.codewords, self.radius_claim) == (
+            other.space, other.codewords, other.radius_claim)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.codewords, self.radius_claim))
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.codewords)
@@ -99,9 +124,28 @@ class Code:
         return f"<Code n={self.space.n} ell={self.space.ell} e={self.radius_claim} {words}>"
 
 
-def _canonical_order(space: SimplexSpace, rows: list[Point]) -> list[Point] | None:
-    """rows in canonical order, checked in array passes, when they are
-    distinct points of the space; None when any check fails.
+def _set_fields(code: Code, space: SimplexSpace, matrix: np.ndarray, radius_claim) -> None:
+    if radius_claim is not None:
+        if not isinstance(radius_claim, int) or isinstance(radius_claim, bool):
+            raise ValueError(f"radius_claim must be an integer, got {radius_claim!r}")
+        if radius_claim < 0:
+            raise ValueError(f"radius_claim must be >= 0, got {radius_claim}")
+    matrix.flags.writeable = False
+    for name, value in (("space", space), ("matrix", matrix), ("radius_claim", radius_claim),
+                        ("_codewords", None)):
+        object.__setattr__(code, name, value)
+
+
+def _word_type(space: SimplexSpace):
+    """The type of a code matrix's entries: int64 when every row sum, at most
+    (n+1) * ell for entries in [0, ell], fits in it, else exact integers."""
+    return np.int64 if (space.n + 1) * space.ell < _INT64_LIMIT else object
+
+
+def _canonical_order(space: SimplexSpace, rows: list) -> np.ndarray | None:
+    """rows as an int64 matrix in canonical order, checked in array passes,
+    when they are lists or tuples of distinct points of the space; None when
+    any check fails.
 
     Only exact ints pass: a bool is no coordinate, and a subclass of int may
     redefine the comparisons and hashing that Code's per-codeword loop sorts
@@ -109,9 +153,9 @@ def _canonical_order(space: SimplexSpace, rows: list[Point]) -> list[Point] | No
     (n+1) * ell, so below 2**63 nothing overflows; larger spaces take the loop.
     """
     width, ell = space.n + 1, space.ell
-    if width * ell >= _INT64_LIMIT or set(map(len, rows)) != {width}:
+    if _word_type(space) is object or not set(map(type, rows)) <= {list, tuple}:
         return None
-    if set(map(type, chain.from_iterable(rows))) != {int}:
+    if set(map(len, rows)) != {width} or set(map(type, chain.from_iterable(rows))) != {int}:
         return None
     try:
         a = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
@@ -120,11 +164,10 @@ def _canonical_order(space: SimplexSpace, rows: list[Point]) -> list[Point] | No
     a = a.reshape(len(rows), width)
     if a.min() < 0 or a.max() > ell or (a.sum(axis=1) != ell).any():
         return None
-    order = np.lexsort(a.T[::-1])[::-1]  # decreasing, column 0 first
-    a = a[order]
+    a = a[np.lexsort(a.T[::-1])[::-1]]  # decreasing, column 0 first
     if (a[1:] == a[:-1]).all(axis=1).any():
         return None
-    return list(map(rows.__getitem__, order.tolist()))
+    return a
 
 
 def count_binary_perfect(ell: int, e: int) -> int:
@@ -166,9 +209,9 @@ def construct_binary_perfect(ell: int, e: int, m: int = 1) -> Code:
         raise BudgetExceededError(
             f"the code would have {q + 1} codewords, over the budget of {CONSTRUCT_WORD_BUDGET}"
         )
-    first = min(r, e) - m + 1
-    words = tuple((ell - first - i * step, first + i * step) for i in range(q + 1))
-    return Code(SimplexSpace(1, ell), words, radius_claim=e)
+    space = SimplexSpace(1, ell)
+    y = min(r, e) - m + 1 + step * np.arange(q + 1, dtype=np.int64)  # at most ell < 2**63
+    return Code._of(space, np.column_stack((ell - y, y)).astype(_word_type(space), copy=False), e)
 
 
 def construct_ternary_perfect(e: int, variant: int = 1) -> Code:
@@ -260,19 +303,19 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
-    space, words = code.space, code.codewords
+    space, matrix = code.space, code.matrix
     size = space.size()
     if space.n == 1:  # every value is at most ell + 1 < 2**63
-        y, r = np.array([w[1] for w in words], dtype=np.int64), min(e, space.ell)
+        y, r = matrix[:, 1].astype(np.int64), min(e, space.ell)
         starts, stops = y - np.minimum(r, y), y + np.minimum(r, space.ell - y) + 1
-        return _witness(space, words, starts, stops, np.arange(1, len(words) + 1))
-    ids = min(size, len(words) * _ball_bound(space, e))
+        return _witness(space, matrix, starts, stops, np.arange(1, len(matrix) + 1))
+    ids = min(size, len(matrix) * _ball_bound(space, e))
     if ids > VERIFY_ID_BUDGET:
         raise BudgetExceededError(
             f"verifying would walk up to {ids} point ids, over the budget of {VERIFY_ID_BUDGET}"
         )
     starts, stops, ends, walked, check = [], [], [], 0, min(1024, size + 1)
-    for c in code.codewords:
+    for c in matrix.tolist():
         for r in ball_runs(c, e):
             starts.append(r.start)
             stops.append(r.stop)
@@ -285,13 +328,13 @@ def is_perfect(code: Code, e: int) -> PerfectnessResult:
             if _by_start(starts, stops)[3]:
                 break
             check = min(2 * walked, size + 1)
-    return _witness(space, words, np.array(starts), np.array(stops), ends)
+    return _witness(space, matrix, np.array(starts), np.array(stops), ends)
 
 
-def _witness(space: SimplexSpace, words, starts, stops, ends) -> PerfectnessResult:
+def _witness(space: SimplexSpace, matrix, starts, stops, ends) -> PerfectnessResult:
     """is_perfect's result from the runs [starts, stops) of the balls of the
-    first len(ends) codewords, where the runs of codewords 0..w are the first
-    ends[w] runs and each codeword's runs ascend."""
+    first len(ends) codewords, rows of the code matrix, where the runs of
+    codewords 0..w are the first ends[w] runs and each codeword's runs ascend."""
     size = space.size()
     start, stop, _, overlap = _by_start(starts, stops)
     if not overlap:  # the first uncovered id opens the first gap
@@ -311,7 +354,7 @@ def _witness(space: SimplexSpace, words, starts, stops, ends) -> PerfectnessResu
     hit = np.flatnonzero(np.append(start, size)[k] < b)[0]
     p, earlier = max(a[hit], start[k[hit]]), np.searchsorted(ends, order[k[hit]], side="right")
     return PerfectnessResult(False, double_covered=(
-        point_at(space, int(p)), words[earlier], words[w]))
+        point_at(space, int(p)), tuple(matrix[earlier].tolist()), tuple(matrix[w].tolist())))
 
 
 def _matrix(rows, bound: int) -> np.ndarray:
@@ -392,7 +435,7 @@ def code_from_dict(obj) -> Code:
 def dumps_code(code: Code) -> str:
     """Canonical JSON text of a code: fixed key order, codewords sorted."""
     return json.dumps({"n": code.space.n, "ell": code.space.ell, "e": code.radius_claim,
-                       "codewords": [list(w) for w in code.codewords]}) + "\n"
+                       "codewords": code.matrix.tolist()}) + "\n"
 
 
 def save_code(code: Code, path) -> None:

@@ -56,13 +56,19 @@ class SearchProblem:
     point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, int) or isinstance(self.e, bool):
-            raise ValueError(f"e must be an integer, got {self.e!r}")
+        _check_ints(e=self.e, max_solutions=self.max_solutions, point_budget=self.point_budget)
         if self.e < 0:
             raise ValueError(f"e must be >= 0, got {self.e}")
         for name in ("max_solutions", "point_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+
+def _check_ints(**values) -> None:
+    """Refuse any value that is not an int, or is a bool."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -342,6 +348,7 @@ def verify_theorem_sweep(
     or than DEFAULT_POINT_BUDGET if that is larger, is refused before any
     cell is visited. The cells share one table of ball masks (_exact_covers).
     """
+    _check_ints(n_max=n_max, ell_max=ell_max, e_max=e_max)
     if n_max < 1 or ell_max < 1 or e_max < 1:
         raise ValueError("sweep bounds must all be >= 1")
     grid, limit = n_max * ell_max * e_max, max(point_budget, DEFAULT_POINT_BUDGET)

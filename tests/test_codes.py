@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import numpy as np
@@ -57,6 +58,38 @@ class TestCodeType:
     def test_rejects_negative_radius_claim(self):
         with pytest.raises(ValueError, match="radius_claim"):
             Code(SimplexSpace(1, 8), ((7, 1),), radius_claim=-1)
+
+    @pytest.mark.parametrize("claim", [1.5, True, np.int64(1), "1"])
+    def test_radius_claim_must_be_an_int(self, claim):
+        # save_code would write a file load_code refuses, or json.dumps would raise.
+        with pytest.raises(ValueError) as info:
+            Code(SimplexSpace(1, 8), ((7, 1),), radius_claim=claim)
+        assert str(info.value) == f"radius_claim must be an integer, got {claim!r}"
+
+    @pytest.mark.parametrize("claim", [None, 0, 3])
+    def test_radius_claim_round_trips(self, claim, tmp_path):
+        code = Code(SimplexSpace(1, 8), ((1, 7), (7, 1)), radius_claim=claim)
+        save_code(code, tmp_path / "code.json")
+        assert load_code(tmp_path / "code.json") == code
+
+    def test_immutable(self):
+        code = Code(SimplexSpace(1, 8), [[1, 7], [7, 1]], radius_claim=1)
+        with pytest.raises(FrozenInstanceError):
+            code.radius_claim = 2
+        with pytest.raises(FrozenInstanceError):
+            del code.matrix
+        with pytest.raises(ValueError, match="read-only"):
+            code.matrix[0, 0] = 8
+        assert code.codewords == ((7, 1), (1, 7))
+
+    def test_equality_and_hash(self):
+        space = SimplexSpace(1, 8)
+        a = Code(space, [[1, 7], [7, 1]], radius_claim=1)
+        b = Code(space, ((7, 1), (1, 7)), radius_claim=1)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Code(space, ((7, 1), (1, 7)), radius_claim=None)
+        assert a != Code(space, ((7, 1), (4, 4)), radius_claim=1)
+        assert a != Code(SimplexSpace(2, 8), ((7, 1, 0), (1, 7, 0)), radius_claim=1)
 
 
 class Sub(int):
@@ -134,16 +167,28 @@ class TestAgainstCodewordLoop:
     def test_same_order_and_errors(self, case):
         space, rows = case
         expected = outcome(lambda: loop_codewords(space, rows))
-        assert outcome(lambda: Code(space, rows).codewords) == expected
+        code = outcome(lambda: Code(space, rows))
+        accepted = isinstance(expected, tuple) and isinstance(expected[0], tuple)
+        int64 = (space.n + 1) * space.ell < 2**63
+        if accepted:
+            # One read-only matrix in the loop's order, int64 exactly when
+            # every row sum fits; codewords read back as exact ints.
+            assert code.matrix.tolist() == [list(w) for w in expected]
+            assert code.matrix.dtype == (np.int64 if int64 else object)
+            assert not code.matrix.flags.writeable
+            assert code.codewords == expected
+            assert {type(c) for w in code.codewords for c in w} == {int}
+        else:
+            assert code == expected
         # The array passes accept exactly the codes of exact ints that fit in
         # int64 which the loop accepts, and order them as it does.
-        fits = all(
+        fits = int64 and all(
             isinstance(r, (tuple, list)) and all(type(c) is int for c in r) for r in rows
-        ) and (space.n + 1) * space.ell < 2**63
-        if fits and isinstance(expected, tuple) and isinstance(expected[0], tuple):
-            assert tuple(codes._canonical_order(space, [tuple(r) for r in rows])) == expected
+        )
+        if fits and accepted:
+            assert codes._canonical_order(space, rows).tolist() == [list(w) for w in expected]
         elif fits:
-            assert codes._canonical_order(space, [tuple(r) for r in rows]) is None
+            assert codes._canonical_order(space, rows) is None
 
     @pytest.mark.parametrize(
         "n, ell, rows",
@@ -229,6 +274,9 @@ class TestBinaryConstruction:
                     assert len(code) == math.ceil((ell + 1) / (2 * e + 1))
                     assert is_perfect(code, e)
                     assert min_distance(code) >= 2 * e + 1
+                    # Built as a matrix without the checks: the checked code is the same.
+                    assert code.matrix.dtype == np.int64
+                    assert code == Code(code.space, code.codewords[::-1], radius_claim=e)
 
     def test_codeword_budget_is_checked_before_building(self, monkeypatch):
         # ell = 10**9, e = 1 would be about 3.3 * 10**8 codewords.
@@ -817,6 +865,44 @@ def test_sphere_packing_identity():
     for code, e in cases:
         total = sum(ball_size(c, e) for c in code.codewords)
         assert total == code.space.size()
+
+
+class TestObjectMatrix:
+    """Codes whose row sums may pass int64 hold exact Python integers, from
+    construction through files to verification."""
+
+    def test_two_word_binary_code(self, tmp_path):
+        ell, e = 2**62, 2**61 - 1  # spacing 2**62 - 1: two codewords, two codes
+        for m, words in [(1, ((ell - 1, 1), (0, ell))), (2, ((ell, 0), (1, ell - 1)))]:
+            code = construct_binary_perfect(ell, e, m)
+            assert code.matrix.dtype == object
+            assert code == Code(SimplexSpace(1, ell), words[::-1], radius_claim=e)
+            assert code.codewords == words
+            assert {type(c) for w in code.codewords for c in w} == {int}
+            save_code(code, tmp_path / "code.json")
+            text = (tmp_path / "code.json").read_text(encoding="utf-8")
+            assert text == (f'{{"n": 1, "ell": {ell}, "e": {e}, "codewords": '
+                            f'[[{words[0][0]}, {words[0][1]}], [{words[1][0]}, {words[1][1]}]]}}\n')
+            loaded = load_code(tmp_path / "code.json")
+            assert loaded == code and loaded.matrix.dtype == object
+            assert is_perfect(loaded, e)
+        code = construct_binary_perfect(ell, e, 1)
+        assert is_perfect(code, e - 1).uncovered == (2**61, 2**61)
+        p, a, b = is_perfect(code, e + 1).double_covered
+        assert (p, a, b) == ((2**61, 2**61), (ell - 1, 1), (0, ell))
+        assert {type(c) for w in (p, a, b) for c in w} == {int}
+
+    def test_one_symbol_past_int64(self, tmp_path):
+        ell = 2**63 + 5
+        code = Code(SimplexSpace(0, ell), [[ell]], radius_claim=0)
+        assert code.matrix.dtype == object
+        assert code.codewords == ((ell,),) and type(code.codewords[0][0]) is int
+        save_code(code, tmp_path / "code.json")
+        assert (tmp_path / "code.json").read_text(encoding="utf-8") == (
+            f'{{"n": 0, "ell": {ell}, "e": 0, "codewords": [[{ell}]]}}\n')
+        loaded = load_code(tmp_path / "code.json")
+        assert loaded == code and loaded.matrix.dtype == object
+        assert is_perfect(loaded, 0) and is_perfect(loaded, 7)
 
 
 class TestCodeFiles:

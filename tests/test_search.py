@@ -256,6 +256,14 @@ class TestOptionsAndBudgets:
             SearchProblem(SimplexSpace(2, 7), e)
         assert str(info.value) == f"e must be an integer, got {e!r}"
 
+    @pytest.mark.parametrize("name", ["max_solutions", "point_budget"])
+    @pytest.mark.parametrize("value", [True, 1.5, "1", np.int64(1)])
+    def test_options_must_be_ints(self, name, value):
+        # Accepted before: 1.5 never truncated, and np.int64 crashed to_json.
+        with pytest.raises(ValueError) as info:
+            SearchProblem(SimplexSpace(1, 13), 1, **{name: value})
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
     def test_orbit_counting(self):
         report = enumerate_perfect_codes(
             SearchProblem(SimplexSpace(2, 7), 2, symmetry_reduction=True)
@@ -365,6 +373,17 @@ class TestSweep:
             verify_theorem_sweep(1, 1, limit + 1, point_budget=10)
         with pytest.raises(BudgetExceededError, match=f"over the limit of {2 * limit}"):
             verify_theorem_sweep(10**9, 1, 1, point_budget=2 * limit)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("value", [True, 3.0, np.int64(3)])
+    def test_bounds_must_be_ints(self, index, value):
+        # Accepted before: True ran as 1.
+        bounds = [1, 3, 1]
+        bounds[index] = value
+        with pytest.raises(ValueError) as info:
+            verify_theorem_sweep(*bounds)
+        name = ("n_max", "ell_max", "e_max")[index]
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
