@@ -259,7 +259,7 @@ class TestOptionsAndBudgets:
     @pytest.mark.parametrize("name", ["max_solutions", "point_budget"])
     @pytest.mark.parametrize("value", [True, 1.5, "1", np.int64(1)])
     def test_options_must_be_ints(self, name, value):
-        # Accepted before: 1.5 never truncated, and np.int64 crashed to_json.
+        # 1.5 would never truncate, and np.int64 would crash to_json.
         with pytest.raises(ValueError) as info:
             SearchProblem(SimplexSpace(1, 13), 1, **{name: value})
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
@@ -377,7 +377,7 @@ class TestSweep:
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("value", [True, 3.0, np.int64(3)])
     def test_bounds_must_be_ints(self, index, value):
-        # Accepted before: True ran as 1.
+        # True would run as 1.
         bounds = [1, 3, 1]
         bounds[index] = value
         with pytest.raises(ValueError) as info:
