@@ -225,9 +225,12 @@ def _tally(sent: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> tuple:
     return keys[starts], counts[order[starts]], np.add.reduceat(weights[order], starts)
 
 
-def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> tuple:
+def _sample_run(
+    words, length: int, cfg: ChannelConfig, trials: int, selection: str, rng
+) -> tuple:
     """The _tally of `trials` trials drawn in order from `rng`: sent
     codeword indices, received count vectors and their numbers of trials.
+    `words` holds the codewords as rows, each of `length` symbols.
 
     Every trial draws the same bounds: its codeword index (uniform
     selection), then each event's total weight, which depends only on the
@@ -237,7 +240,6 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
     merged whenever their rows double, so the merges sort at most about
     twice the rows that the chunk tallies produce.
     """
-    length = sum(words[0])
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
     bounds += [total for _, total in schedule]
@@ -264,7 +266,7 @@ def _sample_run(words, cfg: ChannelConfig, trials: int, selection: str, rng) -> 
     return held[0]
 
 
-def _exhaustive_run(words, cfg: ChannelConfig) -> tuple:
+def _exhaustive_run(words, length: int, cfg: ChannelConfig) -> tuple:
     """Sent codeword indices, received count vectors and the number of noise
     patterns, and so of sampler draw sequences, that send one to the other:
     a _tally after any event, codewords in order without events.
@@ -273,7 +275,6 @@ def _exhaustive_run(words, cfg: ChannelConfig) -> tuple:
     _event call until its run reaches the event's total; each outcome weighs
     the state's weight times the run length. No weight exceeds the pattern
     count, which EXHAUSTIVE_PATTERN_BUDGET caps, so int64 holds them exactly."""
-    length = sum(words[0])
     sent, counts = np.arange(len(words)), _matrix(words, length + cfg.insertions)
     weights = np.ones(len(words), dtype=np.int64)
     for kind, total in _schedule(length, cfg, len(words[0]) - 1):
@@ -308,8 +309,10 @@ def transmit(counts, cfg: ChannelConfig) -> Point:
     transmit(code.codewords[0], cfg).
     """
     sent = _count_vector(counts)
-    _check_run(sum(sent), cfg, len(sent) - 1, 1, 0)
-    _, received, _ = _sample_run((sent,), cfg, 1, "round-robin", _rng(cfg.seed))
+    length = sum(sent)
+    _check_run(length, cfg, len(sent) - 1, 1, 0)
+    words = _matrix([sent], length + cfg.insertions)
+    _, received, _ = _sample_run(words, length, cfg, 1, "round-robin", _rng(cfg.seed))
     return tuple(received[0].tolist())
 
 
@@ -400,12 +403,14 @@ def run_experiment(
             raise TypeError(f"trials must be an integer, got {trials!r}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-    length, n, words = code.space.ell, code.space.n, code.codewords
+    length, n, words = code.space.ell, code.space.n, code.matrix
     _check_run(length, cfg, n, len(words) if exhaustive else trials, len(words), exhaustive)
     if exhaustive:
-        sent, counts, weights = _exhaustive_run(words, cfg)
+        sent, counts, weights = _exhaustive_run(words, length, cfg)
     else:
-        sent, counts, weights = _sample_run(words, cfg, trials, codeword_selection, _rng(cfg.seed))
+        sent, counts, weights = _sample_run(
+            words, length, cfg, trials, codeword_selection, _rng(cfg.seed)
+        )
     # Equal received vectors are adjacent: each distinct one starts a group.
     first = np.append(True, (counts[1:] != counts[:-1]).any(axis=1))
     _check_decode(int(first.sum()), len(words), n)

@@ -359,9 +359,9 @@ def _witness(space: SimplexSpace, matrix, starts, stops, ends) -> PerfectnessRes
 
 
 def _matrix(rows, bound: int) -> np.ndarray:
-    """Integer rows as a matrix of the narrowest signed type that holds every
-    value computed from it, all at most `bound`: int8 to int64, and exact
-    Python integers from 2**63 on."""
+    """Integer rows, or a matrix of them (then one cast), as a matrix of the
+    narrowest signed type that holds every value computed from it, all at
+    most `bound`: int8 to int64, and exact Python integers from 2**63 on."""
     return np.array(rows, dtype=next((t for limit, t in _INT_TYPES if bound < limit), object))
 
 
@@ -389,9 +389,9 @@ def _decode(words, vectors: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndar
 def _nearest(code: Code, r: Point, bound: int, unit: int) -> tuple[Point, int]:
     """The codeword nearest the count vector r, and its score over `unit`. A
     tie raises AmbiguousDecodeError with the tied codewords of the score row."""
-    row = next(_scores(code.codewords, _matrix([r], bound), bound))[0]
+    row = next(_scores(code.matrix, _matrix([r], bound), bound))[0]
     best = row[row.argmin()]
-    tied = [code.codewords[i] for i in (row == best).nonzero()[0].tolist()]
+    tied = [tuple(w) for w in code.matrix[row == best].tolist()]
     if len(tied) > 1:
         raise AmbiguousDecodeError(r, tied, int(best) // unit)
     return tied[0], int(best) // unit

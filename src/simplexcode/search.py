@@ -14,12 +14,15 @@ Their centers follow from the point's coordinates, so a ball is built only
 when the search first reaches its lowest point. Solutions are reported
 in the canonical order induced by the point enumeration.
 
-A ball's bitmask, taken from its lowest id, depends only on e and the
-center's coordinates 1..n (the ell-shift in the simplex module). Each
-enumerate_perfect_codes call starts an empty mask table; a
-verify_theorem_sweep call keeps one table for all its cells, so a mask
-built for one ell serves every other ell of the sweep, and the table is
-dropped when the sweep returns.
+A point's id depends only on its coordinates 1..n, not on ell (the
+ell-shift in the simplex module), so the radius-e balls whose lowest point
+is id p are the same for every ell > e, apart from a clip at the face
+x_0 = 0. A table keyed by p holds them: the tail mass of p and, for each
+ball starting at p, its center's coordinates 1..n and its unclipped bitmask
+shifted down by p. A search fills it as it first reaches each id. Each
+enumerate_perfect_codes call starts an empty table; a verify_theorem_sweep
+call keeps one table per (n, e), so the balls built for one ell serve every
+other ell of the same n and e, and drops them when it moves on to the next n.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -129,7 +132,24 @@ def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
     return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
 
 
-def _exact_covers(space: SimplexSpace, e: int, masks: dict, *, max_solutions: int):
+def _starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list | None]:
+    """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
+    the radius-e balls whose lowest point it is, or None when pt_0 < e.
+
+    Each ball is (center's coordinates 1..n, bitmask of the ball's point ids
+    shifted down by p, p), its mask that of the representative (e, c_1, ...,
+    c_n), so no entry depends on pt_0 = ell - tail mass.
+    """
+    if pt[0] < e:
+        return sum(pt) - pt[0], None
+    balls = []
+    for c in _centers(pt, e, spreads):
+        runs = ball_runs((e,) + c[1:], e)
+        balls.append((c[1:], sum(((1 << len(r)) - 1) << (r.start - p) for r in runs), p))
+    return sum(pt) - pt[0], balls
+
+
+def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: int):
     """Partitions of the space into two or more radius-e balls, and the node count.
 
     Each partition is a tuple of centers in the order they were chosen.
@@ -138,39 +158,43 @@ def _exact_covers(space: SimplexSpace, e: int, masks: dict, *, max_solutions: in
     Once every point below p is covered, a ball that covers p and is
     disjoint from the covered set has its lowest point at p, so the
     candidates for the first uncovered point p are the balls starting
-    there. The first time the search reaches p it builds them, each as
-    (center, bitmask of the ball's point ids shifted down by p, p).
+    there: balls[p] (_starting), built the first time a search given this
+    table reaches p with p_0 >= e. balls is read and filled here, and lives
+    as long as the caller keeps it: one search, or the cells of one sweep
+    with this n and e. Only this reads ell: p_0 and each center's c_0 are
+    ell minus a tail mass, p has no candidates when p_0 < e, and a ball with
+    c_0 < e crosses the face x_0 = 0, so its mask is cut to the space.
     Depth-first, without recursion.
 
-    The bitmask of B(c, e) is that of its representative (e, c_1, ..., c_n),
-    cut to the space: `& (full >> p)`. masks maps representatives to their
-    unclipped bitmasks, shifted down by their lowest id (p again). It is
-    read and filled here, and lives as long as the caller keeps it: one
-    search, or every cell of one sweep.
+    When ell <= e every ball is the whole space: the search meets the root
+    and one single-ball cover per point, and reads no table.
     """
-    starting: dict[int, list[tuple[Point, int, int]]] = {}
-    spreads: dict = {}
-    full = (1 << space.size()) - 1
+    size, ell = space.size(), space.ell
+    if ell <= e:
+        return [], size + 1
+    full, spreads = (1 << size) - 1, {}
     covered, chosen, stack, sols, nodes = 0, [], [], [], 0
     while True:
         nodes += 1
         if covered == full:
             if len(chosen) >= 2:
-                sols.append(tuple(b[0] for b in chosen))
+                sols.append(tuple((ell - sum(b[0]),) + b[0] for b in chosen))
                 if len(sols) == max_solutions:
                     break
         else:
             p = (~covered & (covered + 1)).bit_length() - 1
-            if p not in starting:
-                clip, starting[p] = full >> p, []
-                for c in _centers(point_at(space, p), e, spreads):
-                    rep = (e,) + c[1:]
-                    if rep not in masks:
-                        runs = ball_runs(rep, e)
-                        masks[rep] = sum(((1 << len(r)) - 1) << (r.start - p) for r in runs)
-                    starting[p].append((c, masks[rep] & clip, p))
+            entry = balls.get(p)
+            if entry is None or entry[1] is None and ell - entry[0] >= e:
+                entry = balls[p] = _starting(point_at(space, p), p, e, spreads)
+            mass, starting = entry
             rest = covered >> p
-            stack.append(iter([b for b in starting[p] if not b[1] & rest]))
+            if ell - mass < e:
+                stack.append(iter(()))
+            elif ell - mass >= 2 * e:  # every center has c_0 >= p_0 - e >= e: no clip
+                stack.append(iter([b for b in starting if not b[1] & rest]))
+            else:
+                clip = full >> p
+                stack.append(iter([(c, m & clip, p) for c, m, _ in starting if not m & rest]))
         # Backtrack to the deepest level with an untried candidate and take it.
         while stack:
             if len(chosen) == len(stack):
@@ -195,11 +219,13 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
     definition; when e = 0 or ell <= e that leaves none, so the solver is
     not run. Every emitted code is re-verified with is_perfect.
     """
-    return _enumerate(problem, {})
+    return _enumerate(problem, None)
 
 
-def _enumerate(problem: SearchProblem, masks: dict) -> SearchReport:
-    """enumerate_perfect_codes, taking ball masks from and adding them to masks."""
+def _enumerate(problem: SearchProblem, balls: dict | None) -> SearchReport:
+    """enumerate_perfect_codes, reading and filling the ball table balls, or
+    a table of its own when balls is None, dropped as soon as the solver
+    returns: on (1, 49999, 1) its 33,333 entries take about 13 MB."""
     space, e = problem.space, problem.e
     size = space.size()
     if size > problem.point_budget:
@@ -212,7 +238,9 @@ def _enumerate(problem: SearchProblem, masks: dict) -> SearchReport:
             f"{problem.point_budget}"
         )
     if e and space.ell > e:
-        raw, nodes = _exact_covers(space, e, masks, max_solutions=problem.max_solutions)
+        table = {} if balls is None else balls
+        raw, nodes = _exact_covers(space, e, table, max_solutions=problem.max_solutions)
+        del table  # a table of this search's own goes now, not when the codes are built
     else:  # Each ball is one point or the whole space: the solver meets size + 1 nodes.
         raw, nodes = [], size + 1
 
@@ -346,7 +374,7 @@ def verify_theorem_sweep(
     silently dropped: a nonexistence confirmation is only as good as the
     range it actually covered. A grid of more cells than the point budget,
     or than DEFAULT_POINT_BUDGET if that is larger, is refused before any
-    cell is visited. The cells share one table of ball masks (_exact_covers).
+    cell is visited. The cells of one n and e share a ball table (_exact_covers).
     """
     _check_ints(n_max=n_max, ell_max=ell_max, e_max=e_max)
     if n_max < 1 or ell_max < 1 or e_max < 1:
@@ -354,8 +382,9 @@ def verify_theorem_sweep(
     grid, limit = n_max * ell_max * e_max, max(point_budget, DEFAULT_POINT_BUDGET)
     if grid > limit:
         raise BudgetExceededError(f"sweep grid has {grid} cells, over the limit of {limit}")
-    cells, masks = [], {}
+    cells = []
     for n in range(1, n_max + 1):
+        tables: dict[int, dict] = {}
         for ell in range(1, ell_max + 1):
             for e in range(1, e_max + 1):
                 predicted = predicted_perfect_count(n, ell, e)
@@ -363,7 +392,7 @@ def verify_theorem_sweep(
                     problem = SearchProblem(
                         SimplexSpace(n, ell), e, count_only=True, point_budget=point_budget
                     )
-                    report = _enumerate(problem, masks)
+                    report = _enumerate(problem, tables.setdefault(e, {}))
                 except (BudgetExceededError, OverflowError):
                     cells.append(SweepCell(n, ell, e, predicted, None))
                 else:

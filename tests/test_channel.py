@@ -127,7 +127,7 @@ class TestTransmit:
     def test_trials_give_distinct_streams(self):
         # Consecutive trials of a run draw on from one stream.
         cfg, rng = ChannelConfig(substitutions=1, seed=4), channel._rng(4)
-        outs = set(_histogram(channel._sample_run(((3, 2, 2),), cfg, 8, "round-robin", rng)))
+        outs = set(_histogram(channel._sample_run(((3, 2, 2),), 7, cfg, 8, "round-robin", rng)))
         assert len(outs) > 1  # the noise varies along the stream
 
     def test_substitution_forces_a_different_symbol(self):
@@ -192,7 +192,7 @@ class TestTransmit:
             tuple(v.count(sym) for sym in range(3)) for v in _noisy_variants(seq, 1, 1, 1, 2)
         )
         total = sum(patterns.values())
-        runs = _histogram(channel._sample_run((sent,), cfg, trials, "round-robin", rng))
+        runs = _histogram(channel._sample_run((sent,), sum(sent), cfg, trials, "round-robin", rng))
         seen = Counter({counts: times for (_, counts), times in runs.items()})
         assert set(seen) <= set(patterns)
         for counts, ways in patterns.items():
@@ -857,7 +857,7 @@ def _tally_both_ways(words, cfg, trials, selection) -> Counter:
     """channel._sample_run's Counter, asserted equal to the per-trial tuple
     tally's, with keys of Python ints and the stream left in the same place."""
     rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
-    got = _histogram(channel._sample_run(words, cfg, trials, selection, rng))
+    got = _histogram(channel._sample_run(words, sum(words[0]), cfg, trials, selection, rng))
     assert got == tuple_sample_run(words, cfg, trials, selection, oracle_rng)
     assert all(type(index) is int and all(type(c) is int for c in vector)
                for index, vector in got)
@@ -939,7 +939,7 @@ class TestAgainstTransitionDP:
                 except (BudgetExceededError, ValueError):
                     continue
                 assert got == transition_dp_exhaustive(code, cfg), (code, cfg)
-                histogram = _histogram(channel._exhaustive_run(code.codewords, cfg))
+                histogram = _histogram(channel._exhaustive_run(code.codewords, code.space.ell, cfg))
                 assert histogram == counter_exhaustive_run(code.codewords, cfg), (code, cfg)
                 compared += 1
                 ties += got.ambiguous > 0
@@ -950,7 +950,8 @@ class TestAgainstTransitionDP:
         subs, ins, dels = noise
         cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels)
         words = construct_ternary_perfect(2, 2).codewords
-        assert _histogram(channel._exhaustive_run(words, cfg)) == counter_exhaustive_run(words, cfg)
+        histogram = _histogram(channel._exhaustive_run(words, sum(words[0]), cfg))
+        assert histogram == counter_exhaustive_run(words, cfg)
 
     @pytest.mark.parametrize(
         "code,noise",
@@ -973,7 +974,7 @@ class TestAgainstTransitionDP:
                 for (kind, total), r in zip(schedule, seq):
                     channel._event(counts, kind, np.array([r]), total)
                 draws[index, tuple(counts[0].tolist())] += 1
-        assert _histogram(channel._exhaustive_run(code.codewords, cfg)) == draws
+        assert _histogram(channel._exhaustive_run(code.codewords, code.space.ell, cfg)) == draws
         assert counter_exhaustive_run(code.codewords, cfg) == draws
 
 
@@ -988,7 +989,7 @@ class TestAtTheTopOfInt8:
         code = _two_words(top - ins)  # ell + insertions = top
         words = code.codewords
         cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=top)
-        histogram = _histogram(channel._exhaustive_run(words, cfg))
+        histogram = _histogram(channel._exhaustive_run(words, sum(words[0]), cfg))
         assert histogram == counter_exhaustive_run(words, cfg)
         assert max(max(counts) for _, counts in histogram) == top - subs
         got = run_experiment(code, cfg, 1, exhaustive=True)

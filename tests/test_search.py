@@ -167,7 +167,7 @@ class TestAgainstCoverMatrix:
 
 
 class TestSharedMasks:
-    """A sweep shares one mask table across its cells; a lone search starts a fresh one."""
+    """A sweep shares a ball table across its cells of one n and e; a search starts a fresh one."""
 
     def test_shared_table_solves_like_fresh_ones(self):
         cells = [(n, ell, e) for n in range(6) for e in range(1, 5) for ell in range(e + 1, 13)]
@@ -176,10 +176,22 @@ class TestSharedMasks:
             for n, ell, e in cells
         }
         for descending in (False, True):
-            masks: dict = {}
+            tables: dict = {}
             for n, ell, e in sorted(cells, key=lambda c: c[1], reverse=descending):
-                got = search._exact_covers(SimplexSpace(n, ell), e, masks, max_solutions=0)
+                table = tables.setdefault((n, e), {})
+                got = search._exact_covers(SimplexSpace(n, ell), e, table, max_solutions=0)
                 assert got == fresh[n, ell, e], (n, ell, e, descending)
+
+    def test_a_sweep_builds_each_ball_once(self, monkeypatch):
+        built = []
+
+        def counting(x, r):
+            built.append((x, r))
+            return ball_runs(x, r)
+
+        monkeypatch.setattr(search, "ball_runs", counting)
+        verify_theorem_sweep(3, 9, 2)
+        assert built and len(built) == len(set(built))
 
 
 class TestTrivialCells:
@@ -193,9 +205,13 @@ class TestTrivialCells:
                     for max_solutions in (0, 1, 2):
                         problem = SearchProblem(space, e, max_solutions=max_solutions)
                         report = enumerate_perfect_codes(problem)
-                        _, nodes = search._exact_covers(space, e, {}, max_solutions=max_solutions)
+                        table: dict = {}
+                        _, nodes = search._exact_covers(
+                            space, e, table, max_solutions=max_solutions
+                        )
                         assert (report.solution_count, report.solutions) == (0, ())
                         assert report.nodes_explored == nodes == space.size() + 1
+                        assert e == 0 or not table  # ell <= e never builds a ball
 
     def test_widest_corner_skips_the_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
