@@ -6,12 +6,13 @@ deletions, and insertions. The receiver sees only how often each symbol
 arrived, so the channel is modelled on count vectors alone: one event turns
 a count vector into another, each outcome weighted by the number of
 position-level events that produce it. _event picks an event's outcome
-from a draw below its total weight: sampling applies it to a (trials x
-symbols) count matrix at uniform draws, exhaustive mode walks every state
-through all the draws run by run. Both modes fill one histogram of (sent,
-received) count-vector pairs, held as arrays that _tally merges, and
-decode each distinct received vector once, against a matrix of the
-codewords.
+from a draw below its total weight. Sampling applies it once per distinct
+(state, uniform draw) pair of a chunk of trials that hold ids of their
+states, and to a (trials x symbols) count matrix once the chunk holds no
+more trials than states; exhaustive mode walks every state through all
+the draws run by run. Both modes fill one histogram of (sent, received)
+count-vector pairs, held as arrays that _tally merges, and decode each
+distinct received vector once, against a matrix of the codewords.
 
 The receiver decodes the count vector with the decoder of `codes.decode`
 under the symmetric-difference metric: the unhalved L1 distance between
@@ -30,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .codes import _CHUNK_CELLS, _INT64_LIMIT, Code, _decode, _matrix, _nearest
+from .codes import _INT64_LIMIT, Code, _decode, _matrix, _nearest
 from .errors import BudgetExceededError
 from .simplex import Point
 
@@ -41,6 +42,8 @@ from .simplex import Point
 # counts a row (its draw and tally) and _PASS_CELLS a pass (numpy's
 # per-call cost); a run without events still takes one pass, its tally.
 # The row floor caps events x runs at EVENT_WORK_BUDGET // _ROW_CELLS.
+# Sampled trials that share a state move once, which costs less; the price
+# stays that of the worst case, where every trial is its own state.
 EVENT_WORK_BUDGET = 100_000_000
 _PASS_CELLS = 512
 _ROW_CELLS = 50
@@ -52,9 +55,17 @@ DECODE_WORK_BUDGET = 1_000_000_000
 # Exhaustive mode's noise patterns (codewords times position-level
 # patterns), which bound its int64 weights, exactly, and its `trials`.
 EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
-# Counts of the (sent, received) pairs a run holds; merging them peaks at
-# about 3.3 bytes a held count while the counts are int8.
+# Counts of the (sent, received) pairs a run holds, at worst one pair per
+# trial, as when every trial is its own state; a run peaks at about 4 bytes
+# a held count while the counts are int8 (3.5-4.2 on 4-10 million counts of
+# 251 symbols, the merges and a chunk's arrays included).
 HELD_COUNT_BUDGET = 25_000_000
+
+# A sampled chunk of trials draws, and holds counts for, about this many
+# cells. Alike trials share their moves, so a pass costs numpy's per-call
+# price more than its rows, and large chunks pay it less often; a chunk's
+# arrays take a few MB, also on wide alphabets.
+_SAMPLE_CELLS = 2**18
 
 _SELECTIONS = ("uniform", "round-robin")
 
@@ -225,6 +236,27 @@ def _tally(sent: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> tuple:
     return keys[starts], counts[order[starts]], np.add.reduceat(weights[order], starts)
 
 
+def _move(states: np.ndarray, ids: np.ndarray, kind: str, r: np.ndarray, total: int) -> tuple:
+    """One event on trials that each hold an id into the count vectors
+    `states`: _event once per distinct (state, draw) pair. Returns the
+    distinct (state, run end) outcomes as new states and each trial's id
+    into them; a pair's outcome is its state's outcome for the run of draws
+    that holds its draw, so (state, run end) names it."""
+    # The keys are narrowed first: numpy sorts 8- and 16-bit keys by radix.
+    order = np.lexsort((_matrix(r, total), ids))
+    ids, r = ids[order], r[order]
+    pair = np.append(True, (ids[1:] != ids[:-1]) | (r[1:] != r[:-1]))
+    state = ids[pair]
+    moved = states[state]
+    ends = _event(moved, kind, r[pair], total)
+    # Within a state the draws ascend, so equal run ends are adjacent.
+    new = np.append(True, (state[1:] != state[:-1]) | (ends[1:] != ends[:-1]))
+    labels = _matrix(new.cumsum() - 1, len(new))
+    out = np.empty_like(labels, shape=len(ids))
+    out[order] = labels[pair.cumsum() - 1]
+    return moved[new], out
+
+
 def _sample_run(
     words, length: int, cfg: ChannelConfig, trials: int, selection: str, rng
 ) -> tuple:
@@ -236,15 +268,21 @@ def _sample_run(
     selection), then each event's total weight, which depends only on the
     length. So one array call per chunk of trials draws exactly the values
     that one scalar call per bound would, and leaves the stream where they
-    would leave it. Each chunk is tallied, and the chunk tallies held are
-    merged whenever their rows double, so the merges sort at most about
-    twice the rows that the chunk tallies produce.
+    would leave it. Each trial holds an id into a matrix of the distinct
+    states its chunk can be in, starting at its codeword, and _move applies
+    each event once per distinct (state, draw) pair, while the chunk holds
+    more trials than states. Once it does not (one trial, many codewords,
+    wide alphabets), every trial takes its own row of counts for the
+    remaining events. Each chunk is tallied by (sent, state) before any
+    count row is built, and the chunk tallies held are merged whenever
+    their rows double, so the merges sort at most about twice the rows
+    that the chunk tallies produce.
     """
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
     bounds += [total for _, total in schedule]
-    chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
-    tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
+    chunk = max(1, min(trials, _SAMPLE_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.broadcast_to(np.array(bounds, dtype=np.int64), (chunk, len(bounds)))
     sent_rows = _matrix(words, length + cfg.insertions)
     held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
     for start in range(0, trials, chunk):
@@ -253,10 +291,18 @@ def _sample_run(
             sent, draws = draws[:, 0], draws[:, 1:]
         else:
             sent = np.arange(start, start + len(draws)) % len(words)
-        counts = sent_rows[sent]
-        for (kind, total), r in zip(schedule, draws.T):
-            _event(counts, kind, r, total)
-        held.append(_tally(sent, counts, np.ones(len(sent), dtype=np.int64)))
+        sent = _matrix(sent, len(words))  # narrow, like every id: they are sort keys
+        states, ids, k = sent_rows, sent, 0
+        while k < len(schedule) and len(states) < len(ids):
+            kind, total = schedule[k]
+            states, ids = _move(states, ids, kind, draws[:, k], total)
+            k += 1
+        if k < len(schedule):
+            states, ids = states[ids], _matrix(np.arange(len(ids)), len(ids))
+            for (kind, total), r in zip(schedule[k:], draws.T[k:]):
+                _event(states, kind, r, total)
+        sent, ids, weights = _tally(sent, ids[:, None], np.ones(len(sent), dtype=np.int64))
+        held.append(_tally(sent, states[ids[:, 0]], weights))
         rows += len(held[-1][0])
         if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
             sent, counts, weights = map(np.concatenate, zip(*held))

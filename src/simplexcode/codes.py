@@ -42,8 +42,8 @@ CONSTRUCT_WORD_BUDGET = 1_000_000
 # and 70-86 MB.
 VERIFY_ID_BUDGET = 2_000_000
 
-# Received vectors are decoded, and channel trials sampled, in blocks of about
-# this many matrix entries, so memory stays flat on wide alphabets.
+# Received vectors are decoded in blocks of about this many matrix entries,
+# so memory stays flat on wide alphabets.
 _CHUNK_CELLS = 2**14
 # Draws are int64: an event's total weight must stay below this, and integer
 # matrices switch to exact Python integers at or above it.

@@ -46,7 +46,11 @@ one (sent, received) tuple per trial into its Counter, before it sorted
 each chunk's rows and counted each distinct pair once; kept unchanged
 apart from its count matrix, which stays int64 (exact integers from 2**63
 on) now that the package's matrices take the narrowest type, it pins the
-sorted tally's keys and counts. counter_exhaustive_run is
+sorted tally's keys and counts. row_sample_run is channel._sample_run as
+it moved every trial's own row of counts through every event, before
+trials held ids of their chunk's distinct states and alike trials moved
+once; kept unchanged, it is the second sorted-tally oracle and pins the
+grouped moves' histograms and stream. counter_exhaustive_run is
 channel._exhaustive_run as it merged the DP's states in a Counter keyed
 by (sent index, tuple of counts), before channel._tally merged them as
 arrays; kept unchanged, it is the third exhaustive oracle.
@@ -77,7 +81,8 @@ from simplexcode import (
     decode_received,
     enumerate_space,
 )
-from simplexcode.channel import _event, _rng, _schedule
+from simplexcode.channel import _event, _rng, _schedule, _tally
+from simplexcode.codes import _CHUNK_CELLS, _matrix
 from simplexcode.simplex import ball_runs, format_point, make_point, point_at
 
 SymbolSequence = tuple[int, ...]
@@ -684,7 +689,7 @@ def tuple_sample_run(words, cfg, trials: int, selection: str, rng) -> Counter:
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
     bounds += [total for _, total in schedule]
-    chunk = max(1, min(trials, channel._CHUNK_CELLS // max(len(words[0]), len(bounds))))
+    chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
     tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
     bound = length + cfg.insertions
     sent_rows = np.array(words, dtype=np.int64 if bound < 2**63 else object)
@@ -700,6 +705,47 @@ def tuple_sample_run(words, cfg, trials: int, selection: str, rng) -> Counter:
             _event(counts, kind, r, total)
         received.update(zip(sent.tolist(), map(tuple, counts.tolist())))
     return received
+
+
+def row_sample_run(
+    words, length: int, cfg, trials: int, selection: str, rng
+) -> tuple:
+    """The _tally of `trials` trials drawn in order from `rng`: sent
+    codeword indices, received count vectors and their numbers of trials.
+    `words` holds the codewords as rows, each of `length` symbols.
+
+    Every trial draws the same bounds: its codeword index (uniform
+    selection), then each event's total weight, which depends only on the
+    length. So one array call per chunk of trials draws exactly the values
+    that one scalar call per bound would, and leaves the stream where they
+    would leave it. Each chunk is tallied, and the chunk tallies held are
+    merged whenever their rows double, so the merges sort at most about
+    twice the rows that the chunk tallies produce.
+    """
+    schedule = list(_schedule(length, cfg, len(words[0]) - 1))
+    bounds = [len(words)] if selection == "uniform" else []
+    bounds += [total for _, total in schedule]
+    chunk = max(1, min(trials, _CHUNK_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.array(bounds * chunk, dtype=np.int64).reshape(chunk, len(bounds))
+    sent_rows = _matrix(words, length + cfg.insertions)
+    held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
+    for start in range(0, trials, chunk):
+        draws = rng.integers(tiled[: trials - start])
+        if selection == "uniform":
+            sent, draws = draws[:, 0], draws[:, 1:]
+        else:
+            sent = np.arange(start, start + len(draws)) % len(words)
+        counts = sent_rows[sent]
+        for (kind, total), r in zip(schedule, draws.T):
+            _event(counts, kind, r, total)
+        held.append(_tally(sent, counts, np.ones(len(sent), dtype=np.int64)))
+        rows += len(held[-1][0])
+        if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
+            sent, counts, weights = map(np.concatenate, zip(*held))
+            held.clear()  # only the merged tally outlives the merge
+            held.append(_tally(sent, counts, weights))
+            rows = merged = len(held[0][0])
+    return held[0]
 
 
 def counter_exhaustive_run(words, cfg) -> Counter:

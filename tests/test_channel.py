@@ -19,6 +19,7 @@ from oracles import (
     counter_exhaustive_run,
     positional_exhaustive,
     python_decode_received,
+    row_sample_run,
     scalar_sampled_experiment,
     symmetric_difference,
     transition_dp_exhaustive,
@@ -31,6 +32,7 @@ from simplexcode import (
     BudgetExceededError,
     ChannelConfig,
     Code,
+    ExperimentStats,
     SimplexSpace,
     channel,
     construct_binary_perfect,
@@ -55,15 +57,20 @@ EXACT_TERNARY_E2 = {
     (4, 0, 0): (81588, 0, 33660, 115248),
 }
 
-# Sampled outcomes of the benchmark's four sampled configs at 2,000 trials,
-# keyed by (code, substitutions, insertions, deletions, selection, seed):
-# (successes, ambiguous, errors, score_total). A change here is a change of
-# the sampling stream, which must be versioned in README and CHANGES.
+# Sampled outcomes of the benchmark's four sampled configs at 2,000 trials
+# and at the benchmark's 20,000, keyed by (code, substitutions, insertions,
+# deletions, selection, trials, seed): (successes, ambiguous, errors,
+# score_total). A change here is a change of the sampling stream, which must
+# be versioned in README and CHANGES.
 SAMPLED_STREAM = {
-    ("t2", 2, 0, 0, "uniform", 2021): (2000, 0, 0, 5518),
-    ("t2", 3, 0, 0, "uniform", 2022): (1548, 0, 452, 6108),
-    ("t2", 2, 1, 1, "uniform", 2023): (1708, 0, 292, 5954),
-    ("b64", 3, 0, 0, "round-robin", 2024): (2000, 0, 0, 8136),
+    ("t2", 2, 0, 0, "uniform", 2000, 2021): (2000, 0, 0, 5518),
+    ("t2", 3, 0, 0, "uniform", 2000, 2022): (1548, 0, 452, 6108),
+    ("t2", 2, 1, 1, "uniform", 2000, 2023): (1708, 0, 292, 5954),
+    ("b64", 3, 0, 0, "round-robin", 2000, 2024): (2000, 0, 0, 8136),
+    ("t2", 2, 0, 0, "uniform", 20000, 2221): (20000, 0, 0, 55448),
+    ("t2", 3, 0, 0, "uniform", 20000, 2222): (15459, 0, 4541, 61506),
+    ("t2", 2, 1, 1, "uniform", 20000, 2223): (17016, 0, 2984, 59318),
+    ("b64", 3, 0, 0, "round-robin", 20000, 2224): (20000, 0, 0, 81288),
 }
 
 
@@ -374,15 +381,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key", sorted(SAMPLED_STREAM))
     def test_sampled_stream_is_pinned(self, key):
-        name, subs, ins, dels, selection, seed = key
+        name, subs, ins, dels, selection, trials, seed = key
         if name == "t2":
             code = construct_ternary_perfect(2, 2)
         else:
             code = construct_binary_perfect(64, 3)
         cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=seed)
-        stats = run_experiment(code, cfg, trials=2000, codeword_selection=selection)
-        got = (stats.successes, stats.ambiguous, stats.errors, stats.score_total)
-        assert (stats.trials, got) == (2000, SAMPLED_STREAM[key])
+        stats = run_experiment(code, cfg, trials=trials, codeword_selection=selection)
+        assert stats == ExperimentStats(trials, *SAMPLED_STREAM[key], exhaustive=False)
 
     @pytest.mark.parametrize(
         "selection,exhaustive,streams",
@@ -789,19 +795,22 @@ class TestAgainstScalarSampler:
     @pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
     def test_array_bounds_draw_like_scalar_calls(self, seed):
         # One array call draws what one scalar call per bound draws, in
-        # order, and leaves the stream where those calls leave it.
+        # order, and leaves the stream where those calls leave it, whether
+        # the bounds are tiled into a matrix or broadcast as a read-only view.
         bounds = [1, 2, 3, 7, 1, 14, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**62, 2**63 - 1, 5]
         tiled = np.array(bounds * 40, dtype=np.int64).reshape(40, len(bounds))
-        array_rng, scalar_rng = channel._rng(seed), channel._rng(seed)
-        got = array_rng.integers(tiled).tolist()
-        assert got == [[int(scalar_rng.integers(b)) for b in bounds] for _ in range(40)]
-        after = array_rng.integers(2**40, size=8).tolist()
-        assert after == scalar_rng.integers(2**40, size=8).tolist()
+        view = np.broadcast_to(np.array(bounds, dtype=np.int64), (50, len(bounds)))
+        for matrix in (tiled, view[:40]):
+            array_rng, scalar_rng = channel._rng(seed), channel._rng(seed)
+            got = array_rng.integers(matrix).tolist()
+            assert got == [[int(scalar_rng.integers(b)) for b in bounds] for _ in range(40)]
+            after = array_rng.integers(2**40, size=8).tolist()
+            assert after == scalar_rng.integers(2**40, size=8).tolist()
 
     @pytest.mark.parametrize(
         "code,noise,trials,selection",
         [
-            # Above one chunk of 2**14 // 4 = 4096 trials.
+            # Above one chunk of 2**14 // 5 = 3276 trials.
             (construct_ternary_perfect(2, 2), (2, 1, 1), 5000, "uniform"),
             # 2**14 // 3 = 5461 trials per chunk: the round-robin offset moves on by 1.
             (construct_binary_perfect(64, 3), (3, 0, 0), 6000, "round-robin"),
@@ -817,7 +826,9 @@ class TestAgainstScalarSampler:
         ids=["t2-5000", "b64-6000-rr", "unit250", "unit250-rr", "tie", "quaternary",
              "2^40-0", "2^40-2", "2^62-0", "2^62-2"],
     )
-    def test_same_stats_as_the_scalar_sampler(self, code, noise, trials, selection):
+    def test_same_stats_as_the_scalar_sampler(self, monkeypatch, code, noise, trials, selection):
+        # Chunks of 2**14 cells, so that the larger runs span several chunks.
+        monkeypatch.setattr(channel, "_SAMPLE_CELLS", 2**14)
         subs, ins, dels = noise
         cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=trials + 1)
         got = run_experiment(code, cfg, trials, selection)
@@ -832,7 +843,7 @@ class TestAgainstScalarSampler:
                  Code(SimplexSpace(3, 5), ((5, 0, 0, 0), (0, 0, 2, 3))), _unit_code(6, 2)]
         for _ in range(60):
             cells = rnd.choice([1, 7, 16, 40, 2**14])
-            monkeypatch.setattr(channel, "_CHUNK_CELLS", cells)
+            monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
             monkeypatch.setattr("simplexcode.codes._CHUNK_CELLS", cells)  # decode blocks
             code = rnd.choice(codes)
             cfg = ChannelConfig(substitutions=rnd.randrange(4), insertions=rnd.randrange(3),
@@ -855,15 +866,25 @@ class TestAgainstScalarSampler:
 
 def _tally_both_ways(words, cfg, trials, selection) -> Counter:
     """channel._sample_run's Counter, asserted equal to the per-trial tuple
-    tally's, with keys of Python ints and the stream left in the same place."""
-    rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
+    tally's and to the per-row sampler's, with keys of Python ints and the
+    stream left in the same place."""
+    rng, oracle_rng, row_rng = (channel._rng(cfg.seed) for _ in range(3))
     got = _histogram(channel._sample_run(words, sum(words[0]), cfg, trials, selection, rng))
     assert got == tuple_sample_run(words, cfg, trials, selection, oracle_rng)
+    assert got == _histogram(row_sample_run(words, sum(words[0]), cfg, trials, selection, row_rng))
     assert all(type(index) is int and all(type(c) is int for c in vector)
                for index, vector in got)
     assert sum(got.values()) == trials
-    assert rng.integers(2**40, size=4).tolist() == oracle_rng.integers(2**40, size=4).tolist()
+    after = rng.integers(2**40, size=4).tolist()
+    assert after == oracle_rng.integers(2**40, size=4).tolist()
+    assert after == row_rng.integers(2**40, size=4).tolist()
     return got
+
+
+# Two-word codes at ell = 2**62, whose draws run up to about 2**62 on every
+# event: a key of id * total + draw, or of state * (total + 1) + run end,
+# would wrap int64 once ids reach 2, from the second event on.
+_WRAPPING = [(_two_words(2**62), noise) for noise in [(2, 0, 0), (3, 0, 0), (1, 0, 1)]]
 
 
 class TestAgainstTupleTally:
@@ -874,7 +895,7 @@ class TestAgainstTupleTally:
     @pytest.mark.parametrize(
         "code,noise,trials",
         [
-            # The benchmark's sampled noise, above one chunk of trials.
+            # The benchmark's sampled noise, in one chunk of trials.
             (construct_ternary_perfect(2, 2), (2, 0, 0), 12000),
             (construct_ternary_perfect(2, 2), (3, 0, 0), 12000),
             (construct_ternary_perfect(2, 2), (2, 1, 1), 12000),
@@ -886,9 +907,10 @@ class TestAgainstTupleTally:
             # Exact-integer count matrices.
             (Code(SimplexSpace(0, 2**63 + 5), ((2**63 + 5,),)), (0, 0, 0), 50),
             (_two_words(2**62), (1, 0, 0), 300),
+            *((code, noise, 300) for code, noise in _WRAPPING),
         ],
         ids=["t2-s2", "t2-s3", "t2-s2i1d1", "b64-s3", "unit250-s1", "unit250-i1d1",
-             "wide-two-words", "n0-2^63+5", "2^62-s1"],
+             "wide-two-words", "n0-2^63+5", "2^62-s1", "2^62-s2", "2^62-s3", "2^62-s1d1"],
     )
     def test_same_counter_as_the_tuple_tally(self, code, noise, trials, selection):
         subs, ins, dels = noise
@@ -899,14 +921,72 @@ class TestAgainstTupleTally:
     def test_pairs_merge_across_chunks(self, monkeypatch, cells):
         # Chunks of at most `cells` trials: a pair seen more often than that
         # is counted in several chunks, and its counts must add up to one key.
-        monkeypatch.setattr(channel, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
         for code, noise in [(construct_ternary_perfect(2, 2), (2, 1, 1)),
-                            (_two_words(2**62), (1, 0, 0))]:
+                            (_two_words(2**62), (1, 0, 0)), *_WRAPPING]:
             subs, ins, dels = noise
             cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=cells)
             for selection in ("uniform", "round-robin"):
                 got = _tally_both_ways(code.codewords, cfg, 2000, selection)
                 assert max(got.values()) > cells
+
+
+class TestAgainstRowSampler:
+    """Sampled runs, whose alike trials move once, against the replaced
+    sampler that moved every trial's own row of counts: the same
+    histogram, key for key, and the stream left in the same place."""
+
+    def test_random_runs_match_the_row_sampler(self, monkeypatch):
+        # t2 and b64 hold fewer states than trials on every event of a
+        # large chunk, and small chunks stop grouping part way; the 251
+        # corners of _unit_code(250) group only in chunks of more than 251
+        # trials, at the default size; one trial never groups.
+        moves, move = [], channel._move
+
+        def counting(*args):
+            moves.append(1)
+            return move(*args)
+
+        monkeypatch.setattr(channel, "_move", counting)
+        t2, b64 = construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3)
+        unit = _unit_code(250)
+        default, rnd = channel._SAMPLE_CELLS, random.Random(22)
+        runs = [(t2, (2, 1, 1), 3000, "uniform", default),
+                (b64, (3, 0, 0), 3000, "round-robin", default),
+                (unit, (2, 1, 0), 2000, "uniform", default),
+                (t2, (2, 1, 1), 300, "uniform", 40),
+                (t2, (2, 1, 1), 1, "uniform", default)]
+        for _ in range(40):
+            noise = (rnd.randrange(4), rnd.randrange(3), rnd.randrange(3))
+            runs.append((rnd.choice([t2, b64, unit]), noise,
+                         rnd.choice([1, rnd.randrange(2, 300), rnd.randrange(300, 3000)]),
+                         rnd.choice(["uniform", "round-robin"]),
+                         rnd.choice([1, 7, 40, 2**14, default])))
+        grouped = []
+        for code, (subs, ins, dels), trials, selection, cells in runs:
+            monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
+            cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels,
+                                seed=rnd.getrandbits(64))
+            try:
+                channel._check_run(code.space.ell, cfg, code.space.n, trials, len(code))
+            except ValueError:  # more deletions than symbols
+                continue
+            rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
+            moves.clear()
+            got = channel._sample_run(code.matrix, code.space.ell, cfg, trials, selection, rng)
+            want = row_sample_run(code.matrix, code.space.ell, cfg, trials, selection, oracle_rng)
+            assert _histogram(got) == _histogram(want), (code, cfg, trials, selection, cells)
+            after = rng.integers(2**40, size=4).tolist()
+            assert after == oracle_rng.integers(2**40, size=4).tolist()
+            bounds = subs + ins + dels + (selection == "uniform")
+            chunks = -(-trials // max(1, min(trials, cells // max(code.space.n + 1, bounds))))
+            grouped.append((chunks, len(moves), chunks * (subs + ins + dels)))
+        # Every event grouped (t2, b64), the first of every chunk and not all
+        # (unit, and t2 in chunks of 8 trials), and none (one trial).
+        (_, t2_moves, t2_all), (_, b64_moves, b64_all) = grouped[:2]
+        assert t2_moves == t2_all and b64_moves == b64_all
+        assert all(chunks <= moved < every for chunks, moved, every in grouped[2:4])
+        assert grouped[4][1] == 0 and len(grouped) > 30
 
 
 def _random_codes(rnd: random.Random, count: int) -> list[Code]:
