@@ -6,13 +6,13 @@ deletions, and insertions. The receiver sees only how often each symbol
 arrived, so the channel is modelled on count vectors alone: one event turns
 a count vector into another, each outcome weighted by the number of
 position-level events that produce it. _event picks an event's outcome
-from a draw below its total weight. Sampling applies it once per distinct
-(state, uniform draw) pair of a chunk of trials that hold ids of their
-states, and to a (trials x symbols) count matrix once the chunk holds no
-more trials than states; exhaustive mode walks every state through all
-the draws run by run. Both modes fill one histogram of (sent, received)
-count-vector pairs, held as arrays that _tally merges, and decode each
-distinct received vector once, against a matrix of the codewords.
+from a draw below its total weight; _runs walks states through the runs of
+draws with one outcome. Exhaustive mode weighs each outcome by its run's
+length. Sampling merges outcomes into distinct states and steps trials
+through a table by (state, draw) until it would outgrow them, then moves a
+(trials x symbols) count matrix. Both modes fill one histogram of (sent,
+received) count-vector pairs, held as arrays that _tally merges, and
+decode each distinct received vector once, against the codeword matrix.
 
 The receiver decodes the count vector with the decoder of `codes.decode`
 under the symmetric-difference metric: the unhalved L1 distance between
@@ -42,8 +42,7 @@ from .simplex import Point
 # counts a row (its draw and tally) and _PASS_CELLS a pass (numpy's
 # per-call cost); a run without events still takes one pass, its tally.
 # The row floor caps events x runs at EVENT_WORK_BUDGET // _ROW_CELLS.
-# Sampled trials that share a state move once, which costs less; the price
-# stays that of the worst case, where every trial is its own state.
+# Sampled trials that step through a table cost less than that price.
 EVENT_WORK_BUDGET = 100_000_000
 _PASS_CELLS = 512
 _ROW_CELLS = 50
@@ -62,10 +61,9 @@ EXHAUSTIVE_PATTERN_BUDGET = 2_000_000
 HELD_COUNT_BUDGET = 25_000_000
 
 # A sampled chunk of trials draws, and holds counts for, about this many
-# cells. Alike trials share their moves, so a pass costs numpy's per-call
-# price more than its rows, and large chunks pay it less often; a chunk's
-# arrays take a few MB, also on wide alphabets.
+# cells: large chunks pay numpy's per-call price less often, in a few MB.
 _SAMPLE_CELLS = 2**18
+_CALL_CELLS = 2**12  # an _event call's own cost, in counts of its rows
 
 _SELECTIONS = ("uniform", "round-robin")
 
@@ -226,35 +224,49 @@ def _event(counts: np.ndarray, kind: str, r: np.ndarray, total: int) -> np.ndarr
 def _tally(sent: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> tuple:
     """The distinct (sent, received) rows with their summed weights, ordered
     by received vector and then by sent index, so that equal received
-    vectors are adjacent."""
+    vectors are adjacent; and each row's group, the index of its distinct row."""
     # A column equal in every row neither orders the rows nor tells them apart.
     varying = counts[:, (counts != counts[0]).any(axis=0)]
     order = np.lexsort((sent, *varying.T))
     keys, varying = sent[order], varying[order]
-    new = (keys[1:] != keys[:-1]) | (varying[1:] != varying[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.append(True, new))
-    return keys[starts], counts[order[starts]], np.add.reduceat(weights[order], starts)
+    new = np.append(True, (keys[1:] != keys[:-1]) | (varying[1:] != varying[:-1]).any(axis=1))
+    starts = np.flatnonzero(new)
+    group = np.empty_like(order)
+    group[order] = new.cumsum() - 1
+    return keys[starts], counts[order[starts]], np.add.reduceat(weights[order], starts), group
 
 
-def _move(states: np.ndarray, ids: np.ndarray, kind: str, r: np.ndarray, total: int) -> tuple:
-    """One event on trials that each hold an id into the count vectors
-    `states`: _event once per distinct (state, draw) pair. Returns the
-    distinct (state, run end) outcomes as new states and each trial's id
-    into them; a pair's outcome is its state's outcome for the run of draws
-    that holds its draw, so (state, run end) names it."""
-    # The keys are narrowed first: numpy sorts 8- and 16-bit keys by radix.
-    order = np.lexsort((_matrix(r, total), ids))
-    ids, r = ids[order], r[order]
-    pair = np.append(True, (ids[1:] != ids[:-1]) | (r[1:] != r[:-1]))
-    state = ids[pair]
-    moved = states[state]
-    ends = _event(moved, kind, r[pair], total)
-    # Within a state the draws ascend, so equal run ends are adjacent.
-    new = np.append(True, (state[1:] != state[:-1]) | (ends[1:] != ends[:-1]))
-    labels = _matrix(new.cumsum() - 1, len(new))
-    out = np.empty_like(labels, shape=len(ids))
-    out[order] = labels[pair.cumsum() - 1]
-    return moved[new], out
+def _runs(states: np.ndarray, kind: str, total: int) -> tuple:
+    """Every run of draws of one event on every state: the state's index,
+    the outcome, and where the run starts and ends. Each state takes a run
+    per _event call from draw 0, until the calls due at its last run length
+    cost more, at _CALL_CELLS counts each, than one call with a row per
+    remaining draw that fits a chunk's cells: short runs take few calls."""
+    live, r, run, out = np.arange(len(states)), np.zeros(len(states), dtype=np.int64), total, []
+    while len(live):
+        left = total - r
+        last = left.sum() * states.shape[1] <= min((left // run).max() * _CALL_CELLS, _SAMPLE_CELLS)
+        if last:
+            live = np.repeat(live, left)
+            r = np.arange(len(live)) + np.repeat(r + left - left.cumsum(), left)
+        moved = states[live]
+        ends = _event(moved, kind, r, total)
+        if last:  # runs start at their state's first draw or where one ends
+            keep = np.append(True, (live[1:] != live[:-1]) | (ends[:-1] == r[1:]))
+            live, moved, r, ends = live[keep], moved[keep], r[keep], ends[keep]
+        out.append((live, moved, r, ends))
+        more = (ends < total) & (not last)
+        live, r, run = live[more], ends[more], (ends - r)[more]
+    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _step(states: np.ndarray, ids: np.ndarray, r: np.ndarray, kind: str, total: int) -> tuple:
+    """An event's distinct outcomes, and each trial's id among them off a (state, draw) table."""
+    state, outcome, begin, end = _runs(states, kind, total)
+    unkeyed = np.zeros(len(state), dtype=np.int8)
+    _, outcomes, _, group = _tally(unkeyed, outcome, unkeyed)  # one sent key, no weights
+    order = np.argsort(state, kind="stable")  # by (state, run start)
+    return outcomes, np.repeat(group[order], (end - begin)[order])[ids * total + r]
 
 
 def _sample_run(
@@ -268,15 +280,11 @@ def _sample_run(
     selection), then each event's total weight, which depends only on the
     length. So one array call per chunk of trials draws exactly the values
     that one scalar call per bound would, and leaves the stream where they
-    would leave it. Each trial holds an id into a matrix of the distinct
-    states its chunk can be in, starting at its codeword, and _move applies
-    each event once per distinct (state, draw) pair, while the chunk holds
-    more trials than states. Once it does not (one trial, many codewords,
-    wide alphabets), every trial takes its own row of counts for the
-    remaining events. Each chunk is tallied by (sent, state) before any
-    count row is built, and the chunk tallies held are merged whenever
-    their rows double, so the merges sort at most about twice the rows
-    that the chunk tallies produce.
+    would leave it. A trial holds an id into its chunk's distinct states
+    and takes each event's _step while its table holds no more entries than
+    the chunk holds trials; then (one trial, many codewords, ell-scale
+    totals) each trial moves its own row of counts. Chunk tallies merge
+    whenever their rows double: merges sort at most about twice the rows made.
     """
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
@@ -291,23 +299,26 @@ def _sample_run(
             sent, draws = draws[:, 0], draws[:, 1:]
         else:
             sent = np.arange(start, start + len(draws)) % len(words)
-        sent = _matrix(sent, len(words))  # narrow, like every id: they are sort keys
         states, ids, k = sent_rows, sent, 0
-        while k < len(schedule) and len(states) < len(ids):
-            kind, total = schedule[k]
-            states, ids = _move(states, ids, kind, draws[:, k], total)
+        # Keys id * total + draw stay below the table's size <= trials: no wrap.
+        while k < len(schedule) and len(states) * schedule[k][1] <= len(ids):
+            states, ids = _step(states, ids, draws[:, k], *schedule[k])
             k += 1
+        # Narrowed, as sort keys: numpy sorts 8- and 16-bit keys by radix.
+        sent, weights = _matrix(sent, len(words)), np.ones(len(sent), dtype=np.int64)
         if k < len(schedule):
-            states, ids = states[ids], _matrix(np.arange(len(ids)), len(ids))
+            counts = states[ids]
             for (kind, total), r in zip(schedule[k:], draws.T[k:]):
-                _event(states, kind, r, total)
-        sent, ids, weights = _tally(sent, ids[:, None], np.ones(len(sent), dtype=np.int64))
-        held.append(_tally(sent, states[ids[:, 0]], weights))
+                _event(counts, kind, r, total)
+        else:  # tallied by (sent, state) before any count row is built
+            sent, ids, weights, _ = _tally(sent, _matrix(ids, len(states))[:, None], weights)
+            counts = states[ids[:, 0]]
+        held.append(_tally(sent, counts, weights)[:3])
         rows += len(held[-1][0])
         if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
             sent, counts, weights = map(np.concatenate, zip(*held))
             held.clear()  # only the merged tally outlives the merge
-            held.append(_tally(sent, counts, weights))
+            held.append(_tally(sent, counts, weights)[:3])
             rows = merged = len(held[0][0])
     return held[0]
 
@@ -315,25 +326,14 @@ def _sample_run(
 def _exhaustive_run(words, length: int, cfg: ChannelConfig) -> tuple:
     """Sent codeword indices, received count vectors and the number of noise
     patterns, and so of sampler draw sequences, that send one to the other:
-    a _tally after any event, codewords in order without events.
-
-    Every (sent, state) row starts at draw 0 and takes one run of draws per
-    _event call until its run reaches the event's total; each outcome weighs
-    the state's weight times the run length. No weight exceeds the pattern
-    count, which EXHAUSTIVE_PATTERN_BUDGET caps, so int64 holds them exactly."""
+    a _tally after any event, codewords in order without events. Each run
+    of a (sent, state) row weighs the row's weight times the run's length;
+    no weight exceeds the pattern count, which EXHAUSTIVE_PATTERN_BUDGET caps."""
     sent, counts = np.arange(len(words)), _matrix(words, length + cfg.insertions)
     weights = np.ones(len(words), dtype=np.int64)
     for kind, total in _schedule(length, cfg, len(words[0]) - 1):
-        live, r, outcomes = np.arange(len(sent)), np.zeros(len(sent), dtype=np.int64), []
-        while len(live):
-            moved = counts[live]
-            ends = _event(moved, kind, r, total)
-            outcomes.append((sent[live], moved, weights[live] * (ends - r)))
-            more = ends < total
-            live, r = live[more], ends[more]
-        sent, counts, weights = map(np.concatenate, zip(*outcomes))
-        outcomes.clear()  # only the merged tally outlives the merge
-        sent, counts, weights = _tally(sent, counts, weights)
+        row, counts, begin, end = _runs(counts, kind, total)
+        sent, counts, weights, _ = _tally(sent[row], counts, weights[row] * (end - begin))
     return sent, counts, weights
 
 

@@ -50,7 +50,13 @@ sorted tally's keys and counts. row_sample_run is channel._sample_run as
 it moved every trial's own row of counts through every event, before
 trials held ids of their chunk's distinct states and alike trials moved
 once; kept unchanged, it is the second sorted-tally oracle and pins the
-grouped moves' histograms and stream. counter_exhaustive_run is
+grouped moves' histograms and stream. sorted_move_sample_run is
+channel._sample_run as it moved alike trials once by grouping them per
+event with an np.lexsort on (state, draw) and applying _event once per
+distinct pair (its _move), before each event became one lookup per trial
+in a table over the chunk's merged count vectors; kept unchanged apart
+from taking the first three of _tally's arrays, it pins the tables'
+histograms and stream. counter_exhaustive_run is
 channel._exhaustive_run as it merged the DP's states in a Counter keyed
 by (sent index, tuple of counts), before channel._tally merged them as
 arrays; kept unchanged, it is the third exhaustive oracle.
@@ -738,12 +744,88 @@ def row_sample_run(
         counts = sent_rows[sent]
         for (kind, total), r in zip(schedule, draws.T):
             _event(counts, kind, r, total)
-        held.append(_tally(sent, counts, np.ones(len(sent), dtype=np.int64)))
+        held.append(_tally(sent, counts, np.ones(len(sent), dtype=np.int64))[:3])
         rows += len(held[-1][0])
         if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
             sent, counts, weights = map(np.concatenate, zip(*held))
             held.clear()  # only the merged tally outlives the merge
-            held.append(_tally(sent, counts, weights))
+            held.append(_tally(sent, counts, weights)[:3])
+            rows = merged = len(held[0][0])
+    return held[0]
+
+
+def _move(states: np.ndarray, ids: np.ndarray, kind: str, r: np.ndarray, total: int) -> tuple:
+    """One event on trials that each hold an id into the count vectors
+    `states`: _event once per distinct (state, draw) pair. Returns the
+    distinct (state, run end) outcomes as new states and each trial's id
+    into them; a pair's outcome is its state's outcome for the run of draws
+    that holds its draw, so (state, run end) names it."""
+    # The keys are narrowed first: numpy sorts 8- and 16-bit keys by radix.
+    order = np.lexsort((_matrix(r, total), ids))
+    ids, r = ids[order], r[order]
+    pair = np.append(True, (ids[1:] != ids[:-1]) | (r[1:] != r[:-1]))
+    state = ids[pair]
+    moved = states[state]
+    ends = _event(moved, kind, r[pair], total)
+    # Within a state the draws ascend, so equal run ends are adjacent.
+    new = np.append(True, (state[1:] != state[:-1]) | (ends[1:] != ends[:-1]))
+    labels = _matrix(new.cumsum() - 1, len(new))
+    out = np.empty_like(labels, shape=len(ids))
+    out[order] = labels[pair.cumsum() - 1]
+    return moved[new], out
+
+
+def sorted_move_sample_run(
+    words, length: int, cfg, trials: int, selection: str, rng
+) -> tuple:
+    """The _tally of `trials` trials drawn in order from `rng`: sent
+    codeword indices, received count vectors and their numbers of trials.
+    `words` holds the codewords as rows, each of `length` symbols.
+
+    Every trial draws the same bounds: its codeword index (uniform
+    selection), then each event's total weight, which depends only on the
+    length. So one array call per chunk of trials draws exactly the values
+    that one scalar call per bound would, and leaves the stream where they
+    would leave it. Each trial holds an id into a matrix of the distinct
+    states its chunk can be in, starting at its codeword, and _move applies
+    each event once per distinct (state, draw) pair, while the chunk holds
+    more trials than states. Once it does not (one trial, many codewords,
+    wide alphabets), every trial takes its own row of counts for the
+    remaining events. Each chunk is tallied by (sent, state) before any
+    count row is built, and the chunk tallies held are merged whenever
+    their rows double, so the merges sort at most about twice the rows
+    that the chunk tallies produce.
+    """
+    schedule = list(_schedule(length, cfg, len(words[0]) - 1))
+    bounds = [len(words)] if selection == "uniform" else []
+    bounds += [total for _, total in schedule]
+    chunk = max(1, min(trials, channel._SAMPLE_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.broadcast_to(np.array(bounds, dtype=np.int64), (chunk, len(bounds)))
+    sent_rows = _matrix(words, length + cfg.insertions)
+    held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
+    for start in range(0, trials, chunk):
+        draws = rng.integers(tiled[: trials - start])
+        if selection == "uniform":
+            sent, draws = draws[:, 0], draws[:, 1:]
+        else:
+            sent = np.arange(start, start + len(draws)) % len(words)
+        sent = _matrix(sent, len(words))  # narrow, like every id: they are sort keys
+        states, ids, k = sent_rows, sent, 0
+        while k < len(schedule) and len(states) < len(ids):
+            kind, total = schedule[k]
+            states, ids = _move(states, ids, kind, draws[:, k], total)
+            k += 1
+        if k < len(schedule):
+            states, ids = states[ids], _matrix(np.arange(len(ids)), len(ids))
+            for (kind, total), r in zip(schedule[k:], draws.T[k:]):
+                _event(states, kind, r, total)
+        sent, ids, weights = _tally(sent, ids[:, None], np.ones(len(sent), dtype=np.int64))[:3]
+        held.append(_tally(sent, states[ids[:, 0]], weights)[:3])
+        rows += len(held[-1][0])
+        if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
+            sent, counts, weights = map(np.concatenate, zip(*held))
+            held.clear()  # only the merged tally outlives the merge
+            held.append(_tally(sent, counts, weights)[:3])
             rows = merged = len(held[0][0])
     return held[0]
 

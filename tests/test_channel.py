@@ -21,6 +21,7 @@ from oracles import (
     python_decode_received,
     row_sample_run,
     scalar_sampled_experiment,
+    sorted_move_sample_run,
     symmetric_difference,
     transition_dp_exhaustive,
     tuple_sample_run,
@@ -882,8 +883,9 @@ def _tally_both_ways(words, cfg, trials, selection) -> Counter:
 
 
 # Two-word codes at ell = 2**62, whose draws run up to about 2**62 on every
-# event: a key of id * total + draw, or of state * (total + 1) + run end,
-# would wrap int64 once ids reach 2, from the second event on.
+# event. A table key id * total + draw would wrap int64 from the second id
+# on; the table serves an event only while it holds no more entries than
+# the chunk holds trials, which these totals exceed, so they take rows.
 _WRAPPING = [(_two_words(2**62), noise) for noise in [(2, 0, 0), (3, 0, 0), (1, 0, 1)]]
 
 
@@ -932,37 +934,38 @@ class TestAgainstTupleTally:
 
 
 class TestAgainstRowSampler:
-    """Sampled runs, whose alike trials move once, against the replaced
-    sampler that moved every trial's own row of counts: the same
-    histogram, key for key, and the stream left in the same place."""
+    """Sampled runs, whose events step alike trials through one table,
+    against the replaced sampler that moved every trial's own row of
+    counts: the same histogram, key for key, and the stream left in the
+    same place."""
 
     def test_random_runs_match_the_row_sampler(self, monkeypatch):
-        # t2 and b64 hold fewer states than trials on every event of a
-        # large chunk, and small chunks stop grouping part way; the 251
-        # corners of _unit_code(250) group only in chunks of more than 251
-        # trials, at the default size; one trial never groups.
-        moves, move = [], channel._move
+        # The table serves every event of t2 and b64 in a large chunk, no
+        # event of one trial or of the 251 corners of _unit_code(250), and
+        # the first substitution of ternary e=40 at 2,000 trials but not
+        # its second, whose states times total exceed the trials.
+        tables, table = [], channel._step
 
         def counting(*args):
-            moves.append(1)
-            return move(*args)
+            tables.append(1)
+            return table(*args)
 
-        monkeypatch.setattr(channel, "_move", counting)
+        monkeypatch.setattr(channel, "_step", counting)
         t2, b64 = construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3)
-        unit = _unit_code(250)
+        t40, unit = construct_ternary_perfect(40, 2), _unit_code(250)
         default, rnd = channel._SAMPLE_CELLS, random.Random(22)
         runs = [(t2, (2, 1, 1), 3000, "uniform", default),
                 (b64, (3, 0, 0), 3000, "round-robin", default),
-                (unit, (2, 1, 0), 2000, "uniform", default),
-                (t2, (2, 1, 1), 300, "uniform", 40),
-                (t2, (2, 1, 1), 1, "uniform", default)]
+                (t40, (2, 0, 0), 2000, "uniform", default),
+                (t2, (2, 1, 1), 1, "uniform", default),
+                (unit, (2, 1, 0), 2000, "uniform", default)]
         for _ in range(40):
             noise = (rnd.randrange(4), rnd.randrange(3), rnd.randrange(3))
             runs.append((rnd.choice([t2, b64, unit]), noise,
                          rnd.choice([1, rnd.randrange(2, 300), rnd.randrange(300, 3000)]),
                          rnd.choice(["uniform", "round-robin"]),
                          rnd.choice([1, 7, 40, 2**14, default])))
-        grouped = []
+        served = []
         for code, (subs, ins, dels), trials, selection, cells in runs:
             monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
             cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels,
@@ -972,7 +975,7 @@ class TestAgainstRowSampler:
             except ValueError:  # more deletions than symbols
                 continue
             rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
-            moves.clear()
+            tables.clear()
             got = channel._sample_run(code.matrix, code.space.ell, cfg, trials, selection, rng)
             want = row_sample_run(code.matrix, code.space.ell, cfg, trials, selection, oracle_rng)
             assert _histogram(got) == _histogram(want), (code, cfg, trials, selection, cells)
@@ -980,13 +983,67 @@ class TestAgainstRowSampler:
             assert after == oracle_rng.integers(2**40, size=4).tolist()
             bounds = subs + ins + dels + (selection == "uniform")
             chunks = -(-trials // max(1, min(trials, cells // max(code.space.n + 1, bounds))))
-            grouped.append((chunks, len(moves), chunks * (subs + ins + dels)))
-        # Every event grouped (t2, b64), the first of every chunk and not all
-        # (unit, and t2 in chunks of 8 trials), and none (one trial).
-        (_, t2_moves, t2_all), (_, b64_moves, b64_all) = grouped[:2]
-        assert t2_moves == t2_all and b64_moves == b64_all
-        assert all(chunks <= moved < every for chunks, moved, every in grouped[2:4])
-        assert grouped[4][1] == 0 and len(grouped) > 30
+            served.append((len(tables), chunks * (subs + ins + dels)))
+        # (tables, events): unit's 2,000 trials take two chunks of 1,044.
+        assert served[:5] == [(4, 4), (3, 3), (1, 2), (0, 4), (0, 6)] and len(served) > 30
+
+
+class TestAgainstSortedMoves:
+    """Sampled runs against the replaced sampler that grouped each event's
+    trials with a sort on (state, draw) and moved each distinct pair once:
+    the same histogram, key for key, and the stream left in the same place."""
+
+    def test_random_runs_match_the_sorted_moves(self, monkeypatch):
+        t2, b64, unit = (construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3),
+                         _unit_code(250))
+        default, rnd = channel._SAMPLE_CELLS, random.Random(23)
+        runs = [(code, noise, trials, "uniform", cells) for code, noise in _WRAPPING
+                for trials, cells in [(1, default), (300, 7), (300, default)]]
+        for _ in range(40):
+            noise = (rnd.randrange(4), rnd.randrange(3), rnd.randrange(3))
+            runs.append((rnd.choice([t2, b64, unit]), noise,
+                         rnd.choice([1, rnd.randrange(2, 300), rnd.randrange(300, 3000)]),
+                         rnd.choice(["uniform", "round-robin"]),
+                         rnd.choice([1, 7, 40, 2**14, default])))
+        compared = 0
+        for code, (subs, ins, dels), trials, selection, cells in runs:
+            monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
+            cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels,
+                                seed=rnd.getrandbits(64))
+            try:
+                channel._check_run(code.space.ell, cfg, code.space.n, trials, len(code))
+            except ValueError:  # more deletions than symbols
+                continue
+            rng, oracle_rng = channel._rng(cfg.seed), channel._rng(cfg.seed)
+            got = channel._sample_run(code.matrix, code.space.ell, cfg, trials, selection, rng)
+            want = sorted_move_sample_run(code.matrix, code.space.ell, cfg, trials, selection,
+                                          oracle_rng)
+            assert _histogram(got) == _histogram(want), (code, cfg, trials, selection, cells)
+            after = rng.integers(2**40, size=4).tolist()
+            assert after == oracle_rng.integers(2**40, size=4).tolist()
+            compared += 1
+        assert compared > 40
+
+    def test_states_merge_into_distinct_count_vectors(self, monkeypatch):
+        # t2 at (2,1,1), 20,000 trials in one chunk: after each event the
+        # states are distinct count vectors, at most the 36, 36, 28 and 36
+        # of lengths 7, 7, 6 and 7. Named by (state, run end) instead, as
+        # the sorted moves named them, they numbered 12, 60, 144 and 430.
+        seen, table = [], channel._step
+
+        def recording(*args):
+            states, ids = table(*args)
+            seen.append(states.tolist())
+            return states, ids
+
+        monkeypatch.setattr(channel, "_step", recording)
+        code = construct_ternary_perfect(2, 2)
+        cfg = ChannelConfig(substitutions=2, insertions=1, deletions=1, seed=2026)
+        channel._sample_run(code.matrix, code.space.ell, cfg, 20000, "uniform", channel._rng(2026))
+        assert [len(states) for states in seen] == [12, 36, 28, 36]
+        for states, length, vectors in zip(seen, (7, 7, 6, 7), (36, 36, 28, 36)):
+            assert len(set(map(tuple, states))) == len(states) <= vectors
+            assert all(sum(state) == length for state in states)
 
 
 def _random_codes(rnd: random.Random, count: int) -> list[Code]:
@@ -997,6 +1054,62 @@ def _random_codes(rnd: random.Random, count: int) -> list[Code]:
         points = list(enumerate_space(space))
         out.append(Code(space, tuple(rnd.sample(points, min(len(points), rnd.randint(1, 4))))))
     return out
+
+
+def _walked_runs(states: np.ndarray, kind: str, total: int) -> list:
+    """(state index, outcome, run start, run end) of every run of one event,
+    one _event call per run of each state."""
+    runs = []
+    for index, state in enumerate(states.tolist()):
+        start = 0
+        while start < total:
+            moved = np.array([state], dtype=states.dtype)
+            end = int(channel._event(moved, kind, np.array([start]), total)[0])
+            runs.append((index, tuple(moved[0].tolist()), start, end))
+            start = end
+    return sorted(runs)
+
+
+class TestRuns:
+    """channel._runs, the run walk of both modes, against one _event call
+    per run, also where it ends with a call that takes a row per draw."""
+
+    @pytest.mark.parametrize("cells", [1, 2**18])
+    def test_runs_are_the_walked_runs(self, monkeypatch, cells):
+        # At 1 cell the walk never takes its last call of a row per draw.
+        monkeypatch.setattr(channel, "_SAMPLE_CELLS", cells)
+        rnd = random.Random(cells)
+        matrices = [np.array([[1] * 20 + [0]], dtype=np.int8),  # 400 runs of one draw
+                    construct_ternary_perfect(40, 2).matrix.astype(np.int16),  # long runs
+                    np.array([[60, 1, 1, 1, 0], [0, 0, 63, 0, 0]], dtype=np.int8)]  # both
+        for _ in range(30):
+            n, ell = rnd.randint(0, 6), rnd.randint(1, 9)
+            matrices.append(np.array([np.bincount(rnd.choices(range(n + 1), k=ell),
+                                                  minlength=n + 1)
+                                      for _ in range(rnd.randint(1, 12))], dtype=np.int8))
+        for states in matrices:
+            length, n = int(states[0].sum()), states.shape[1] - 1
+            for kind, total in [("substitution", length * n), ("deletion", length),
+                                ("insertion", (length + 1) * (n + 1))]:
+                if total == 0:
+                    continue
+                state, outcome, begin, end = channel._runs(states, kind, total)
+                got = sorted(zip(state.tolist(), map(tuple, outcome.tolist()),
+                                 begin.tolist(), end.tolist()))
+                assert got == _walked_runs(states, kind, total), (states, kind)
+
+    def test_short_runs_take_few_calls(self, monkeypatch):
+        calls, event = [], channel._event
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return event(*args)
+
+        monkeypatch.setattr(channel, "_event", counting)
+        ones = np.array([[1] * 20 + [0]], dtype=np.int8)
+        assert len(channel._runs(ones, "substitution", 400)[0]) == 400
+        # One call on the first draw, then one on a row per remaining draw.
+        assert calls == [1, 399]
 
 
 class TestAgainstTransitionDP:
