@@ -18,11 +18,13 @@ A point's id depends only on its coordinates 1..n, not on ell (the
 ell-shift in the simplex module), so the radius-e balls whose lowest point
 is id p are the same for every ell > e, apart from a clip at the face
 x_0 = 0. A table keyed by p holds them: the tail mass of p and, for each
-ball starting at p, its center's coordinates 1..n and its unclipped bitmask
-shifted down by p. A search fills it as it first reaches each id. Each
-enumerate_perfect_codes call starts an empty table; a verify_theorem_sweep
-call keeps one table per (n, e), so the balls built for one ell serve every
-other ell of the same n and e, and drops them when it moves on to the next n.
+ball starting at p, its center's coordinates 1..n, the bitmask of its
+unclipped ids walked so far shifted down by p and the first id not yet
+walked (-1 at the end). A search fills it as it first reaches each id and
+walks a ball only until it meets a covered id. Each enumerate_perfect_codes
+call starts an empty table; a verify_theorem_sweep call keeps one table per
+(n, e), so the balls walked for one ell serve every other ell of the same n
+and e, and drops them when it moves on to the next n.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -136,17 +138,36 @@ def _starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list | Non
     """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
     the radius-e balls whose lowest point it is, or None when pt_0 < e.
 
-    Each ball is (center's coordinates 1..n, bitmask of the ball's point ids
-    shifted down by p, p), its mask that of the representative (e, c_1, ...,
-    c_n), so no entry depends on pt_0 = ell - tail mass.
+    Each ball is (center's coordinates 1..n, bitmask of its ids walked so far
+    shifted down by p, first id not yet walked or -1 once walked to its end),
+    its ids those of the representative (e, c_1, ..., c_n), so no entry
+    depends on pt_0 = ell - tail mass.
     """
     if pt[0] < e:
         return sum(pt) - pt[0], None
+    if len(pt) > 2:
+        return sum(pt) - pt[0], [(c[1:], 0, p) for c in _centers(pt, e, spreads)]
     balls = []
-    for c in _centers(pt, e, spreads):
-        runs = ball_runs((e,) + c[1:], e)
-        balls.append((c[1:], sum(((1 << len(r)) - 1) << (r.start - p) for r in runs), p))
+    for c in _centers(pt, e, spreads):  # a ball of n < 2 is one run, from p
+        r = next(ball_runs((e,) + c[1:], e))
+        balls.append((c[1:], (1 << len(r)) - 1, -1))
     return sum(pt) - pt[0], balls
+
+
+def _walk(balls: list, p: int, e: int, rest: int) -> None:
+    """Walk on each unfinished ball of an entry that misses rest (the covered ids
+    shifted down by p) until it meets rest or ends, skipping the runs walked before."""
+    for k, (c, mask, front) in enumerate(balls):
+        if front < 0 or mask & rest:
+            continue
+        for r in ball_runs((e,) + c, e):
+            if r.start >= front:
+                mask |= ((1 << len(r)) - 1) << (r.start - p)
+                if mask & rest:
+                    balls[k] = (c, mask, r.stop)
+                    break
+        else:
+            balls[k] = (c, mask, -1)
 
 
 def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: int):
@@ -159,17 +180,17 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
     disjoint from the covered set has its lowest point at p, so the
     candidates for the first uncovered point p are the balls starting
     there: balls[p] (_starting), built the first time a search given this
-    table reaches p with p_0 >= e. balls is read and filled here, and lives
-    as long as the caller keeps it: one search, or the cells of one sweep
-    with this n and e. Only this reads ell: p_0 and each center's c_0 are
-    ell minus a tail mass, p has no candidates when p_0 < e, and a ball with
-    c_0 < e crosses the face x_0 = 0, so its mask is cut to the space.
-    Depth-first, without recursion.
+    table reaches p with p_0 >= e, each ball walked as far as a node needs
+    (_walk). balls is read and filled here, and lives as long as the caller
+    keeps it: one search, or the cells of one sweep with this n and e. Only
+    this reads ell: p_0 and each center's c_0 are ell minus a tail mass, p
+    has no candidates when p_0 < e, and a ball with c_0 < e crosses the face
+    x_0 = 0, so its mask is cut to the space. Depth-first, without recursion.
 
     When ell <= e every ball is the whole space: the search meets the root
     and one single-ball cover per point, and reads no table.
     """
-    size, ell = space.size(), space.ell
+    size, ell, n = space.size(), space.ell, space.n
     if ell <= e:
         return [], size + 1
     full, spreads = (1 << size) - 1, {}
@@ -188,10 +209,12 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
                 entry = balls[p] = _starting(point_at(space, p), p, e, spreads)
             mass, starting = entry
             rest = covered >> p
+            if n > 1 and ell - mass >= e:
+                _walk(starting, p, e, rest)
             if ell - mass < e:
                 stack.append(iter(()))
             elif ell - mass >= 2 * e:  # every center has c_0 >= p_0 - e >= e: no clip
-                stack.append(iter([b for b in starting if not b[1] & rest]))
+                stack.append(iter([(c, m, p) for c, m, _ in starting if not m & rest]))
             else:
                 clip = full >> p
                 stack.append(iter([(c, m & clip, p) for c, m, _ in starting if not m & rest]))

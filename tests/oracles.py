@@ -20,7 +20,13 @@ search ran before the bitset solver replaced it, kept unchanged as a second
 exact-cover oracle. _exact_covers is that bitset solver as it ran over a
 cover matrix of every ball in the space, before the search learned to build
 each ball from its lowest point when it first needs it; kept unchanged, it
-pins the search's choices and node counts. _noisy_variants is the
+pins the search's choices and node counts. eager_starting and
+eager_exact_covers are search._starting and search._exact_covers as they
+walked every ball starting at an id to its end when the search first
+reached that id, before the search learned to walk a ball only until it
+meets a covered id; kept unchanged apart from their names, they pin the
+lazy walk's choices and node counts on fresh and shared ball tables.
+_noisy_variants is the
 position-level noise enumerator that the channel's exhaustive mode ran
 before the count-domain model replaced it, kept unchanged as the channel
 oracle.
@@ -89,6 +95,7 @@ from simplexcode import (
 )
 from simplexcode.channel import _event, _rng, _schedule, _tally
 from simplexcode.codes import _CHUNK_CELLS, _matrix
+from simplexcode.search import _centers
 from simplexcode.simplex import ball_runs, format_point, make_point, point_at
 
 SymbolSequence = tuple[int, ...]
@@ -454,6 +461,85 @@ def _exact_covers(balls: list[tuple[int, ...]], *, max_solutions: int, node_budg
             if c is not None:
                 chosen.append(c)
                 covered |= masks[c] << low[c]
+                break
+            stack.pop()
+        else:
+            break
+    return sols, nodes
+
+
+def eager_starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list | None]:
+    """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
+    the radius-e balls whose lowest point it is, or None when pt_0 < e.
+
+    Each ball is (center's coordinates 1..n, bitmask of the ball's point ids
+    shifted down by p, p), its mask that of the representative (e, c_1, ...,
+    c_n), so no entry depends on pt_0 = ell - tail mass.
+    """
+    if pt[0] < e:
+        return sum(pt) - pt[0], None
+    balls = []
+    for c in _centers(pt, e, spreads):
+        runs = ball_runs((e,) + c[1:], e)
+        balls.append((c[1:], sum(((1 << len(r)) - 1) << (r.start - p) for r in runs), p))
+    return sum(pt) - pt[0], balls
+
+
+def eager_exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: int):
+    """Partitions of the space into two or more radius-e balls, and the node count.
+
+    Each partition is a tuple of centers in the order they were chosen.
+    The search stops after max_solutions partitions (0 = find them all).
+
+    Once every point below p is covered, a ball that covers p and is
+    disjoint from the covered set has its lowest point at p, so the
+    candidates for the first uncovered point p are the balls starting
+    there: balls[p] (_starting), built the first time a search given this
+    table reaches p with p_0 >= e. balls is read and filled here, and lives
+    as long as the caller keeps it: one search, or the cells of one sweep
+    with this n and e. Only this reads ell: p_0 and each center's c_0 are
+    ell minus a tail mass, p has no candidates when p_0 < e, and a ball with
+    c_0 < e crosses the face x_0 = 0, so its mask is cut to the space.
+    Depth-first, without recursion.
+
+    When ell <= e every ball is the whole space: the search meets the root
+    and one single-ball cover per point, and reads no table.
+    """
+    size, ell = space.size(), space.ell
+    if ell <= e:
+        return [], size + 1
+    full, spreads = (1 << size) - 1, {}
+    covered, chosen, stack, sols, nodes = 0, [], [], [], 0
+    while True:
+        nodes += 1
+        if covered == full:
+            if len(chosen) >= 2:
+                sols.append(tuple((ell - sum(b[0]),) + b[0] for b in chosen))
+                if len(sols) == max_solutions:
+                    break
+        else:
+            p = (~covered & (covered + 1)).bit_length() - 1
+            entry = balls.get(p)
+            if entry is None or entry[1] is None and ell - entry[0] >= e:
+                entry = balls[p] = eager_starting(point_at(space, p), p, e, spreads)
+            mass, starting = entry
+            rest = covered >> p
+            if ell - mass < e:
+                stack.append(iter(()))
+            elif ell - mass >= 2 * e:  # every center has c_0 >= p_0 - e >= e: no clip
+                stack.append(iter([b for b in starting if not b[1] & rest]))
+            else:
+                clip = full >> p
+                stack.append(iter([(c, m & clip, p) for c, m, _ in starting if not m & rest]))
+        # Backtrack to the deepest level with an untried candidate and take it.
+        while stack:
+            if len(chosen) == len(stack):
+                _, mask, p = chosen.pop()
+                covered ^= mask << p
+            b = next(stack[-1], None)
+            if b is not None:
+                chosen.append(b)
+                covered |= b[1] << b[2]
                 break
             stack.pop()
         else:

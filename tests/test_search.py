@@ -182,16 +182,60 @@ class TestSharedMasks:
                 got = search._exact_covers(SimplexSpace(n, ell), e, table, max_solutions=0)
                 assert got == fresh[n, ell, e], (n, ell, e, descending)
 
-    def test_a_sweep_builds_each_ball_once(self, monkeypatch):
-        built = []
+    def test_matches_the_eager_solver(self):
+        # The replaced solver walked every ball to its end when first reached;
+        # the search walks a ball only until it meets a covered id.
+        cells = [(n, ell, e) for n in range(6) for e in range(1, 5) for ell in range(e + 1, 13)]
+        for descending in (False, True):
+            tables: dict = {}
+            eager_tables: dict = {}
+            for n, ell, e in sorted(cells, key=lambda c: c[1], reverse=descending):
+                space = SimplexSpace(n, ell)
+                got = search._exact_covers(
+                    space, e, tables.setdefault((n, e), {}), max_solutions=0
+                )
+                want = oracles.eager_exact_covers(
+                    space, e, eager_tables.setdefault((n, e), {}), max_solutions=0
+                )
+                assert got == want, (n, ell, e, descending)
+        for n, ell, e in [(2, 31, 10), (5, 15, 4)]:
+            space = SimplexSpace(n, ell)
+            want = oracles.eager_exact_covers(space, e, {}, max_solutions=0)
+            assert search._exact_covers(space, e, {}, max_solutions=0) == want
 
-        def counting(x, r):
-            built.append((x, r))
-            return ball_runs(x, r)
+    def test_a_sweep_walks_each_ball_to_its_end_once(self, monkeypatch):
+        # A ball whose walk stopped at a covered id is walked again from its
+        # first run when a later node needs more of it, so a sweep may start
+        # several walks of one ball; once one ends, the ball's mask is whole.
+        ended = []
 
-        monkeypatch.setattr(search, "ball_runs", counting)
+        def recording(x, r):
+            yield from ball_runs(x, r)
+            ended.append((x, r))
+
+        monkeypatch.setattr(search, "ball_runs", recording)
         verify_theorem_sweep(3, 9, 2)
-        assert built and len(built) == len(set(built))
+        assert ended and len(ended) == len(set(ended))
+
+
+class TestBenchmarkCells:
+    """The benchmark's single searches: nodes_explored is printed, so it is pinned."""
+
+    @pytest.mark.parametrize(
+        "n,ell,e,nodes,count",
+        [
+            (2, 22, 7, 137, 2),
+            (2, 31, 10, 254, 2),
+            (3, 12, 3, 89, 0),
+            (4, 8, 2, 92, 0),
+            (1, 1000, 1, 669, 2),
+        ],
+    )
+    def test_nodes_and_solutions(self, n, ell, e, nodes, count):
+        report = enumerate_perfect_codes(
+            SearchProblem(SimplexSpace(n, ell), e, count_only=True)
+        )
+        assert (report.nodes_explored, report.solution_count) == (nodes, count)
 
 
 class TestTrivialCells:
