@@ -37,9 +37,9 @@ CONSTRUCT_WORD_BUDGET = 1_000_000
 
 # is_perfect refuses to walk more point ids than this on n >= 2 (n = 1 has no
 # walk). Short runs cost the most: 222,778 codewords of (2, 1998) with disjoint
-# e = 1 balls, 2.0M ids priced, take 2.5-3.2 s and 80-97 MB, and 520 codewords
-# of (60, 20) at e = 1, priced 2.0M and walking 0.59M ids in one-id runs, 3.1-3.5 s
-# and 70-86 MB.
+# e = 1 balls, 2.0M ids priced, take 1.2-1.5 s and 98 MB, and 520 codewords
+# of (60, 20) at e = 1, priced 2.0M and walking 0.59M ids in one-id runs, 1.4-2.0 s
+# and 86 MB (2-core x86-64, Python 3.11).
 VERIFY_ID_BUDGET = 2_000_000
 
 # Received vectors are decoded in blocks of about this many matrix entries,

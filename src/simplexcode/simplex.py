@@ -52,14 +52,16 @@ class SimplexSpace:
         if self.ell < 0:
             raise ValueError(f"ell must be >= 0, got {self.ell}")
         # C(n+ell, ell) >= 2**min(n, ell): skip the exact count when that is too big.
-        if min(self.n, self.ell) >= 63 or math.comb(self.n + self.ell, self.ell) > _MAX_SPACE_SIZE:
+        size = math.comb(self.n + self.ell, self.ell) if min(self.n, self.ell) < 63 else None
+        if size is None or size > _MAX_SPACE_SIZE:
             raise OverflowError(
                 f"space size C({self.n + self.ell},{self.ell}) does not fit in 64 bits"
             )
+        object.__setattr__(self, "_size", size)  # not a field: ==, hash and repr ignore it
 
     def size(self) -> int:
         """Number of points: C(n+ell, ell)."""
-        return math.comb(self.n + self.ell, self.ell)
+        return self._size
 
     def __contains__(self, coords) -> bool:
         try:
@@ -161,10 +163,11 @@ def ball_runs(x: Point, e: int) -> Iterator[range]:
         return
     # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
     # low[i]: min of x[i:]; nonzero[i]: first j >= i with x[j] > 0, or n.
+    comb = math.comb
     x_suf, low, nonzero, mass = [0] * (n + 1), [x[n]] * (n + 1), [n] * (n + 1), x[n]
     for i in range(n - 1, -1, -1):
         c = x[i]
-        x_suf[i] = x_suf[i + 1] + math.comb(mass - 1 + n - i, n - i)
+        x_suf[i] = x_suf[i + 1] + comb(mass - 1 + n - i, n - i)
         low[i] = c if c < low[i + 1] else low[i + 1]
         nonzero[i] = i if c else nonzero[i + 1]
         mass += c
@@ -174,22 +177,29 @@ def ball_runs(x: Point, e: int) -> Iterator[range]:
         i, rest, pos, neg, acc = stack.pop()
         k = n - i
         if pos + rest - low[i] <= e:  # pos grows by at most rest - low[i]: all of it is in
-            lo, hi = acc, acc + math.comb(rest + k, k)
+            lo, hi = acc, acc + comb(rest + k, k)
         elif k == 2:  # per value v of y_i, y_{n-1} spans ids a - hi .. a - lo
-            c, d = x[i], x[i + 1]
-            for v in range(min(rest, c + e - pos), max(0, c - e + neg) - 1, -1):
-                r = rest - v
-                a = acc + r * (r + 3) // 2  # acc + C(r + 1, 2) + r
+            c, d, top, bottom = x[i], x[i + 1], x[i] + e - pos, x[i] - e + neg
+            if top > rest:
+                top = rest
+            r = rest - top
+            a = acc + r * (r + 3) // 2  # acc + C(r + 1, 2) + r, grows by r + 2 a row
+            up, dn = d + e - pos + c, d - e + neg + c  # y_{n-1}: dn - min(v, c) .. up - max(v, c)
+            for v in range(top, bottom - 1 if bottom > 0 else -1, -1):
                 if v > c:
-                    lo, hi = a - min(r, d + e - pos - v + c), a - max(0, d - e + neg) + 1
+                    t, b = up - v, dn - c
                 else:
-                    lo, hi = a - min(r, d + e - pos), a - max(0, d - e + neg + c - v) + 1
+                    t, b = up - c, dn - v
+                lo = a - (r if r < t else t)
+                hi = a + 1 - (b if b > 0 else 0)
                 if lo == stop:
                     stop = hi
                 else:
                     if stop:
                         yield range(start, stop)
                     start, stop = lo, hi
+                r += 1
+                a += r + 1
             continue
         elif pos == neg == e:
             lo = acc + x_suf[i]
@@ -197,18 +207,21 @@ def ball_runs(x: Point, e: int) -> Iterator[range]:
         elif pos == e and not x[i]:
             j = nonzero[i]
             if j == n:  # y_n takes the rest: the last point below this branch
-                lo = acc + math.comb(rest + k, k) - 1
+                lo = acc + comb(rest + k, k) - 1
                 hi = lo + 1
             else:
                 j = min(j, n - 2)
-                skipped = math.comb(rest + k, k) - math.comb(rest + n - j, n - j)
+                skipped = comb(rest + k, k) - comb(rest + n - j, n - j)
                 stack.append((j, rest, pos, neg, acc + skipped))
                 continue
         else:
-            c = x[i]
-            for v in range(max(0, c - e + neg), min(rest, c + e - pos) + 1):
-                stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
-                              acc + math.comb(rest - v - 1 + k, k)))
+            c, top, bottom = x[i], x[i] + e - pos, x[i] - e + neg
+            if top > rest:
+                top = rest
+            for v in range(bottom if bottom > 0 else 0, c if c <= top else top + 1):
+                stack.append((i + 1, rest - v, pos, neg + c - v, acc + comb(rest - v - 1 + k, k)))
+            for v in range(c, top + 1):
+                stack.append((i + 1, rest - v, pos + v - c, neg, acc + comb(rest - v - 1 + k, k)))
             continue
         if lo == stop:
             stop = hi

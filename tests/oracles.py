@@ -8,7 +8,11 @@ the id walk replaced it, kept unchanged as a second ball oracle; it costs
 about n^2 per ball point, so keep it to small alphabets. ball_ids is that
 id walk as it listed a ball one id at a time, before the walk learned to
 list runs of consecutive ids (simplex.ball_runs); kept unchanged, it pins
-the runs. dict_is_perfect is the perfectness check that recorded an owner
+the runs. minmax_ball_runs is simplex.ball_runs as it took each row's
+bounds and each child's pos and neg with min and max and recomputed each
+row's first id, before those became conditional expressions and running
+sums; kept unchanged apart from its name, it pins the runs run for run.
+dict_is_perfect is the perfectness check that recorded an owner
 per id in a dict over ball_ids, before is_perfect decided over sorted runs
 with numpy; kept unchanged, it pins results and witnesses.
 expanded_is_perfect is is_perfect as it found its double-cover witness by
@@ -73,6 +77,7 @@ sort. Kept unchanged, it pins the canonical order and every error.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, count, repeat
@@ -205,6 +210,87 @@ def ball_ids(x: Point, e: int) -> Iterator[int]:
             for v in range(lo, hi + 1):
                 stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
                               acc + comb(rest - v - 1 + k, k)))
+
+
+def minmax_ball_runs(x: Point, e: int) -> Iterator[range]:
+    """The points within distance e of x as runs of consecutive ids (enumeration
+    positions): ascending, disjoint and maximal, so adjacent runs are merged.
+
+    y is in the ball when the mass it adds to x (pos) and the mass it
+    removes (neg) are at most e. The walk fixes y left to right, each coordinate from its
+    largest admissible value down; every branch ends in a point of the ball.
+    A branch ends in one run when every way to finish y stays in the ball
+    (the points below a branch are consecutive ids), and in one point when
+    pos = neg = e (the rest of y is x's); while pos = e, y is 0 wherever x
+    is, so it jumps past x's zeros. The last free coordinate leaves one run
+    of ids per value of the one before it, so the last two are closed forms:
+    no branch goes below them.
+    """
+    if e < 0:
+        raise ValueError(f"radius must be >= 0, got {e}")
+    n = len(x) - 1
+    if n < 2:  # one point, or y_0 alone decides y: one run, ids ell - y_0
+        c, ell = x[0], sum(x)
+        yield range(ell - min(ell, c + e), ell - max(0, c - e) + 1) if n else range(1)
+        return
+    # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
+    # low[i]: min of x[i:]; nonzero[i]: first j >= i with x[j] > 0, or n.
+    x_suf, low, nonzero, mass = [0] * (n + 1), [x[n]] * (n + 1), [n] * (n + 1), x[n]
+    for i in range(n - 1, -1, -1):
+        c = x[i]
+        x_suf[i] = x_suf[i + 1] + math.comb(mass - 1 + n - i, n - i)
+        low[i] = c if c < low[i + 1] else low[i + 1]
+        nonzero[i] = i if c else nonzero[i + 1]
+        mass += c
+    start = stop = 0  # the run being merged
+    stack = [(0, mass, 0, 0, 0)]  # (coordinate, mass left, pos, neg, id so far)
+    while stack:
+        i, rest, pos, neg, acc = stack.pop()
+        k = n - i
+        if pos + rest - low[i] <= e:  # pos grows by at most rest - low[i]: all of it is in
+            lo, hi = acc, acc + math.comb(rest + k, k)
+        elif k == 2:  # per value v of y_i, y_{n-1} spans ids a - hi .. a - lo
+            c, d = x[i], x[i + 1]
+            for v in range(min(rest, c + e - pos), max(0, c - e + neg) - 1, -1):
+                r = rest - v
+                a = acc + r * (r + 3) // 2  # acc + C(r + 1, 2) + r
+                if v > c:
+                    lo, hi = a - min(r, d + e - pos - v + c), a - max(0, d - e + neg) + 1
+                else:
+                    lo, hi = a - min(r, d + e - pos), a - max(0, d - e + neg + c - v) + 1
+                if lo == stop:
+                    stop = hi
+                else:
+                    if stop:
+                        yield range(start, stop)
+                    start, stop = lo, hi
+            continue
+        elif pos == neg == e:
+            lo = acc + x_suf[i]
+            hi = lo + 1
+        elif pos == e and not x[i]:
+            j = nonzero[i]
+            if j == n:  # y_n takes the rest: the last point below this branch
+                lo = acc + math.comb(rest + k, k) - 1
+                hi = lo + 1
+            else:
+                j = min(j, n - 2)
+                skipped = math.comb(rest + k, k) - math.comb(rest + n - j, n - j)
+                stack.append((j, rest, pos, neg, acc + skipped))
+                continue
+        else:
+            c = x[i]
+            for v in range(max(0, c - e + neg), min(rest, c + e - pos) + 1):
+                stack.append((i + 1, rest - v, pos + max(v - c, 0), neg + max(c - v, 0),
+                              acc + math.comb(rest - v - 1 + k, k)))
+            continue
+        if lo == stop:
+            stop = hi
+        else:
+            if stop:
+                yield range(start, stop)
+            start, stop = lo, hi
+    yield range(start, stop)
 
 
 def dict_is_perfect(code: Code, e: int) -> PerfectnessResult:

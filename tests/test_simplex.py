@@ -428,6 +428,22 @@ class TestBallRuns:
                         assert list(oracles.ball_ids(x, e)) == want, (x, e)
                         assert_runs(list(ball_runs(x, e)), want)
 
+    def test_same_runs_as_the_replaced_walk(self):
+        for n in range(0, 5):
+            for ell in range(0, 10):
+                for x in enumerate_space(SimplexSpace(n, ell)):
+                    for e in range(0, ell + 2):
+                        want = list(oracles.minmax_ball_runs(x, e))
+                        assert list(ball_runs(x, e)) == want, (x, e)
+        rng = random.Random(25)
+        for n in (20, 60):
+            for ell in range(0, 5):
+                corners = [(ell,) + (0,) * n, (0,) * n + (ell,)]
+                for x in corners + [random_point(rng, n, ell) for _ in range(3)]:
+                    for e in range(0, 3):
+                        want = list(oracles.minmax_ball_runs(x, e))
+                        assert list(ball_runs(x, e)) == want, (x, e)
+
     def test_binary_centers_of_a_large_space(self):
         ell, e = 10**5, 7
         points = np.array(list(enumerate_space(SimplexSpace(1, ell))))
