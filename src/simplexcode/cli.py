@@ -32,7 +32,7 @@ from .search import (
     enumerate_perfect_codes,
     verify_theorem_sweep,
 )
-from .simplex import SimplexSpace, format_point
+from .simplex import SimplexSpace, _check_ints, format_point
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -151,10 +151,8 @@ def _cmd_simulate(args) -> int:
     exhaustive = obj.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
         raise ValueError("exhaustive must be a boolean")
-    for name in ("substitutions", "insertions", "deletions", "trials", "seed"):
-        value = obj.get(name, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_ints(**{name: obj.get(name, 0)
+                   for name in ("substitutions", "insertions", "deletions", "trials", "seed")})
     if not exhaustive:
         # Randomized runs demand an explicit seed; there is no wall-clock default.
         if "seed" not in obj:

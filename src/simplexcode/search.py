@@ -37,9 +37,9 @@ import json
 from dataclasses import dataclass
 from itertools import permutations
 
-from .codes import Code, count_binary_perfect, is_perfect
+from .codes import Code, _sort_rows, count_binary_perfect, is_perfect
 from .errors import BudgetExceededError
-from .simplex import Point, SimplexSpace, ball_runs, enumerate_space, point_at
+from .simplex import Point, SimplexSpace, _check_ints, ball_runs, enumerate_space, point_at
 
 DEFAULT_POINT_BUDGET = 50_000
 
@@ -67,13 +67,6 @@ class SearchProblem:
         for name in ("max_solutions", "point_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-def _check_ints(**values) -> None:
-    """Refuse any value that is not an int, or is a bool."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -290,21 +283,13 @@ def _enumerate(problem: SearchProblem, balls: dict | None) -> SearchReport:
 def canonicalize_code(code: Code) -> Code:
     """Canonical representative of a code under coordinate permutations.
 
-    Of the (n+1)! permutation images (each re-sorted into canonical
-    codeword order), picks the one whose codeword list comes first in the
+    Of the (n+1)! column permutations of the code matrix (each with its rows
+    re-sorted into canonical codeword order), picks the one whose codeword list comes first in the
     canonical point order. Idempotent; two codes have equal canonical forms
     exactly when one is a coordinate permutation of the other.
     """
-    width = code.space.n + 1
-    best: tuple[Point, ...] | None = None
-    for perm in permutations(range(width)):
-        image = tuple(
-            sorted((tuple(w[k] for k in perm) for w in code.codewords), reverse=True)
-        )
-        if best is None or image > best:
-            best = image
-    assert best is not None
-    return Code(code.space, best, radius_claim=code.radius_claim)
+    images = (_sort_rows(code.matrix[:, perm]) for perm in permutations(range(code.space.n + 1)))
+    return Code._of(code.space, max(images, key=lambda a: a.tolist()), code.radius_claim)
 
 
 def predicted_perfect_count(n: int, ell: int, e: int) -> int:

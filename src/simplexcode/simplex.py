@@ -44,9 +44,7 @@ class SimplexSpace:
     ell: int
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("ell", self.ell)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_ints(n=self.n, ell=self.ell)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.ell < 0:
@@ -69,6 +67,13 @@ class SimplexSpace:
         except (TypeError, ValueError):
             return False
         return True
+
+
+def _check_ints(**values) -> None:
+    """Refuse any value that is not an int, or is a bool."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def make_point(space: SimplexSpace, coords: Iterable[int]) -> Point:

@@ -73,6 +73,12 @@ arrays; kept unchanged, it is the third exhaustive oracle.
 loop_codewords is Code.__post_init__'s codeword check as it ran before
 the array passes: a make_point per codeword, the duplicate set, then a
 sort. Kept unchanged, it pins the canonical order and every error.
+tuple_canonicalize_code is search.canonicalize_code as it permuted and
+sorted the codewords tuple by tuple, before it permuted the columns of the
+code matrix and sorted their rows with codes' lexsort; pair_min_distance is
+codes.min_distance as it took the distance of each pair of codewords in a
+Python loop, before it read the decoder's blocked L1 scores. Kept unchanged
+apart from their names, they pin canonical forms, dtypes and distances.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, count, repeat
+from itertools import chain, combinations, count, permutations, repeat
 from math import comb
 from typing import Iterator
 
@@ -101,7 +107,7 @@ from simplexcode import (
 from simplexcode.channel import _event, _rng, _schedule, _tally
 from simplexcode.codes import _CHUNK_CELLS, _matrix
 from simplexcode.search import _centers
-from simplexcode.simplex import ball_runs, format_point, make_point, point_at
+from simplexcode.simplex import ball_runs, distance, format_point, make_point, point_at
 
 SymbolSequence = tuple[int, ...]
 
@@ -371,6 +377,32 @@ def loop_codewords(space: SimplexSpace, codewords) -> tuple[Point, ...]:
                 raise ValueError(f"duplicate codeword {format_point(w)}")
             seen.add(w)
     return tuple(sorted(words, reverse=True))
+
+
+def tuple_canonicalize_code(code: Code) -> Code:
+    """Canonical representative of a code under coordinate permutations.
+
+    Of the (n+1)! permutation images (each re-sorted into canonical
+    codeword order), picks the one whose codeword list comes first in the
+    canonical point order. Idempotent; two codes have equal canonical forms
+    exactly when one is a coordinate permutation of the other.
+    """
+    width = code.space.n + 1
+    best: tuple[Point, ...] | None = None
+    for perm in permutations(range(width)):
+        image = tuple(
+            sorted((tuple(w[k] for k in perm) for w in code.codewords), reverse=True)
+        )
+        if best is None or image > best:
+            best = image
+    assert best is not None
+    return Code(code.space, best, radius_claim=code.radius_claim)
+
+
+def pair_min_distance(code: Code) -> int:
+    if len(code.codewords) < 2:
+        raise ValueError("minimum distance needs at least 2 codewords")
+    return min(distance(a, b) for a, b in combinations(code.codewords, 2))
 
 
 def bf_decode(codewords, y):

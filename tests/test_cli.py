@@ -119,6 +119,14 @@ class TestVerify:
         assert code == 2
         assert "duplicate" in stderr
 
+    def test_non_integer_n_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"n": "2", "ell": 7, "e": 2, "codewords": [[5, 0, 2]]}))
+        code, stdout, stderr = run(capsys, "verify", "--code", str(path), "--e", "2")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: n must be an integer, got '2'\n"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{oops")

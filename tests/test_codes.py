@@ -129,10 +129,10 @@ def codeword_rows(draw):
     if rows and draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     rows = list(draw(st.permutations(rows)))
-    for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        i = draw(st.integers(0, len(rows) - 1))
-        if not isinstance(rows[i], tuple):  # already a scalar
-            continue
+    # Each row is broken at most once, so a break keeps its kind: an "int"
+    # break never wraps the bad coordinate of a "coord" break.
+    last = len(rows) - 1
+    for i in draw(st.lists(st.integers(0, last), max_size=2, unique=True)) if rows else ():
         row = list(rows[i])
         kind = draw(st.sampled_from(["coord", "int", "long", "short", "scalar"] if row else ["long"]))
         j = draw(st.integers(0, len(row) - 1)) if row else 0

@@ -22,6 +22,7 @@ from simplexcode import (
     enumerate_perfect_codes,
     enumerate_space,
     is_perfect,
+    min_distance,
     predicted_perfect_count,
     verify_theorem_sweep,
 )
@@ -374,6 +375,53 @@ class TestCanonicalize:
         a = Code(SimplexSpace(1, 9), ((9, 0), (0, 9)))
         b = Code(SimplexSpace(1, 9), ((9, 0), (5, 4)))
         assert canonicalize_code(a).codewords != canonicalize_code(b).codewords
+
+
+# Small spaces, and spaces whose matrices hold exact integers ((0, 10**30) and
+# (1, 2**63 - 2)) or int64 entries past int32 ((2, 3 * 10**9), a ternary
+# space of 4.5 * 10**18 points).
+ORACLE_CODE_SPACES = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 6)),
+    st.sampled_from([(0, 10**30), (1, 2**63 - 2), (2, 3 * 10**9)]),
+)
+
+
+@st.composite
+def random_codes(draw):
+    """A code of up to 12 distinct codewords with no, a zero or a positive radius claim."""
+    n, ell = draw(ORACLE_CODE_SPACES)
+
+    def point():
+        cuts = sorted(draw(st.lists(st.integers(0, ell), min_size=n, max_size=n)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, ell]))
+
+    words = dict.fromkeys(point() for _ in range(draw(st.integers(1, 12))))
+    claim = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return Code(SimplexSpace(n, ell), words, radius_claim=claim)
+
+
+def outcome(f, code):
+    try:
+        return f(code)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstTupleForms:
+    """canonicalize_code and min_distance work on the code matrix;
+    oracles.tuple_canonicalize_code and oracles.pair_min_distance are the
+    tuple-by-tuple sort and the pair loop they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_codes())
+    def test_same_forms_dtypes_and_distances(self, code):
+        new, old = canonicalize_code(code), oracles.tuple_canonicalize_code(code)
+        assert new == old and new.matrix.dtype == old.matrix.dtype
+        assert new.matrix.tolist() == old.matrix.tolist() and not new.matrix.flags.writeable
+        distance = outcome(min_distance, code)
+        assert distance == outcome(oracles.pair_min_distance, code)
+        assert type(distance) is (int if len(code) > 1 else str)
+        assert outcome(min_distance, new) == distance
 
 
 class TestPredictions:
