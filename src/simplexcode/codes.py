@@ -239,13 +239,17 @@ def construct_ternary_perfect(e: int, variant: int = 1) -> Code:
 
 
 def min_distance(code: Code) -> int:
-    """The least distance between two codewords, from the decoder's blocked L1
-    scores of the code matrix against itself: the zero scores are the diagonal,
-    as codewords are distinct. Quadratic in the codewords: 0.025 s for the 667
-    of the binary ell=2000, e=1 code, 0.049 s for 1,334 (ell=20000, e=7) and
-    1.2 s for 6,667 (ell=100000, e=7) (2-core x86-64, Python 3.11)."""
+    """The least distance between two codewords. On two symbols the rows, in
+    canonical order, ascend in y_1, and two codewords are as far apart as their
+    y_1: the least step between adjacent rows, under 0.1 ms for the 6,667 of the
+    binary ell=100000, e=7 code. Otherwise the least nonzero L1 score of the
+    code matrix against itself (the diagonal scores 0), quadratic in the
+    codewords: 0.07 s for 1,334 of (2, 200) and 1.5 s for 6,667 of (2, 400)
+    (2-core x86-64, Python 3.11)."""
     if len(code.matrix) < 2:
         raise ValueError("minimum distance needs at least 2 codewords")
+    if code.space.n == 1:
+        return int(np.diff(code.matrix[:, 1]).min())
     bound = 2 * code.space.ell
     return min(int(s[s > 0].min()) for s in _scores(code.matrix, code.matrix, bound)) // 2
 

@@ -7,12 +7,13 @@ candidate sets are the balls B(x, e) for every center x, and a perfect code
 is a selection of pairwise-disjoint balls whose union is the whole space.
 
 The solver is a depth-first exact-cover search over bitmasks of point ids.
-It always branches on the first uncovered point in enumeration order, which
-starts at the (ell, 0, ..., 0) corner where clipped balls leave the fewest
-choices, and tries the balls whose lowest point it is, in center order.
-Their centers follow from the point's coordinates, so a ball is built only
-when the search first reaches its lowest point. Solutions are reported
-in the canonical order induced by the point enumeration.
+It always branches on the first uncovered point p in enumeration order,
+which starts at the (ell, 0, ..., 0) corner where clipped balls leave the
+fewest choices, and tries the balls whose lowest point it is, in center
+order. Its state is a window: the covered ids from p on, shifted down by
+p. Centers follow from the point's coordinates, so a ball is built only
+when the search first reaches its lowest point. Solutions are reported in
+the canonical order induced by the point enumeration.
 
 A point's id depends only on its coordinates 1..n, not on ell (the
 ell-shift in the simplex module), so the radius-e balls whose lowest point
@@ -20,11 +21,11 @@ is id p are the same for every ell > e, apart from a clip at the face
 x_0 = 0. A table keyed by p holds them: the tail mass of p and, for each
 ball starting at p, its center's coordinates 1..n, the bitmask of its
 unclipped ids walked so far shifted down by p and the first id not yet
-walked (-1 at the end). A search fills it as it first reaches each id and
-walks a ball only until it meets a covered id. Each enumerate_perfect_codes
-call starts an empty table; a verify_theorem_sweep call keeps one table per
-(n, e), so the balls walked for one ell serve every other ell of the same n
-and e, and drops them when it moves on to the next n.
+walked (-1 at the end). A search adds p's entry, the same for every ell, as
+it first reaches p, and walks a ball only until it meets a covered id. Each
+enumerate_perfect_codes call starts an empty table; a verify_theorem_sweep
+call keeps one table per (n, e), so the balls walked for one ell serve every
+other ell of the same n and e, and drops them when it moves on to the next n.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -127,36 +128,30 @@ def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
     return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
 
 
-def _starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list | None]:
+def _starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list]:
     """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
-    the radius-e balls whose lowest point it is, or None when pt_0 < e.
+    the radius-e balls whose lowest point is the representative (e, pt_1, ..., pt_n).
 
     Each ball is (center's coordinates 1..n, bitmask of its ids walked so far
     shifted down by p, first id not yet walked or -1 once walked to its end),
-    its ids those of the representative (e, c_1, ..., c_n), so no entry
-    depends on pt_0 = ell - tail mass.
+    unwalked here, its ids those of the representative (e, c_1, ..., c_n). So
+    the entry does not depend on pt_0 = ell - tail mass, and one entry serves
+    every ell > e: the search gives p no candidates when pt_0 < e.
     """
-    if pt[0] < e:
-        return sum(pt) - pt[0], None
-    if len(pt) > 2:
-        return sum(pt) - pt[0], [(c[1:], 0, p) for c in _centers(pt, e, spreads)]
-    balls = []
-    for c in _centers(pt, e, spreads):  # a ball of n < 2 is one run, from p
-        r = next(ball_runs((e,) + c[1:], e))
-        balls.append((c[1:], (1 << len(r)) - 1, -1))
-    return sum(pt) - pt[0], balls
+    return sum(pt[1:]), [(c[1:], 0, p) for c in _centers((e,) + pt[1:], e, spreads)]
 
 
-def _walk(balls: list, p: int, e: int, rest: int) -> None:
-    """Walk on each unfinished ball of an entry that misses rest (the covered ids
-    shifted down by p) until it meets rest or ends, skipping the runs walked before."""
+def _walk(balls: list, p: int, e: int, window: int) -> None:
+    """Walk on each unfinished ball of an entry that misses window (the covered
+    ids from p on, shifted down by p) until it meets window or ends, skipping
+    the runs walked before."""
     for k, (c, mask, front) in enumerate(balls):
-        if front < 0 or mask & rest:
+        if front < 0 or mask & window:
             continue
         for r in ball_runs((e,) + c, e):
             if r.start >= front:
                 mask |= ((1 << len(r)) - 1) << (r.start - p)
-                if mask & rest:
+                if mask & window:
                     balls[k] = (c, mask, r.stop)
                     break
         else:
@@ -173,53 +168,53 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
     disjoint from the covered set has its lowest point at p, so the
     candidates for the first uncovered point p are the balls starting
     there: balls[p] (_starting), built the first time a search given this
-    table reaches p with p_0 >= e, each ball walked as far as a node needs
-    (_walk). balls is read and filled here, and lives as long as the caller
-    keeps it: one search, or the cells of one sweep with this n and e. Only
-    this reads ell: p_0 and each center's c_0 are ell minus a tail mass, p
-    has no candidates when p_0 < e, and a ball with c_0 < e crosses the face
-    x_0 = 0, so its mask is cut to the space. Depth-first, without recursion.
+    table reaches p, each ball walked as far as a node needs (_walk). balls
+    is read and filled here, and lives as long as the caller keeps it: one
+    search, or the cells of one sweep with this n and e. Only this reads
+    ell: p_0 and each center's c_0 are ell minus a tail mass, p has no
+    candidates when p_0 < e, and a ball with c_0 < e crosses the face
+    x_0 = 0, so its mask is cut to the space. covered is the window (see
+    the module docstring), so no node works on the ids below p; each stack
+    level keeps its candidates, window and p for backtracking to restore.
+    Depth-first, without recursion.
 
     When ell <= e every ball is the whole space: the search meets the root
     and one single-ball cover per point, and reads no table.
     """
-    size, ell, n = space.size(), space.ell, space.n
+    size, ell = space.size(), space.ell
     if ell <= e:
         return [], size + 1
-    full, spreads = (1 << size) - 1, {}
-    covered, chosen, stack, sols, nodes = 0, [], [], [], 0
+    spreads: dict = {}
+    covered, p, chosen, stack, sols, nodes = 0, 0, [], [], [], 0
     while True:
         nodes += 1
-        if covered == full:
+        skip = (~covered & (covered + 1)).bit_length() - 1  # step past the covered prefix
+        p, covered = p + skip, covered >> skip
+        if p == size:
             if len(chosen) >= 2:
-                sols.append(tuple((ell - sum(b[0]),) + b[0] for b in chosen))
+                sols.append(tuple((ell - sum(c),) + c for c in chosen))
                 if len(sols) == max_solutions:
                     break
         else:
-            p = (~covered & (covered + 1)).bit_length() - 1
             entry = balls.get(p)
-            if entry is None or entry[1] is None and ell - entry[0] >= e:
+            if entry is None:
                 entry = balls[p] = _starting(point_at(space, p), p, e, spreads)
             mass, starting = entry
-            rest = covered >> p
-            if n > 1 and ell - mass >= e:
-                _walk(starting, p, e, rest)
-            if ell - mass < e:
-                stack.append(iter(()))
-            elif ell - mass >= 2 * e:  # every center has c_0 >= p_0 - e >= e: no clip
-                stack.append(iter([(c, m, p) for c, m, _ in starting if not m & rest]))
-            else:
-                clip = full >> p
-                stack.append(iter([(c, m & clip, p) for c, m, _ in starting if not m & rest]))
+            if ell - mass >= e:  # else p has no candidates and the node is a leaf
+                _walk(starting, p, e, covered)
+                # p_0 >= 2e: every center has c_0 >= p_0 - e >= e, so no clip
+                clip = -1 if ell - mass >= 2 * e else (1 << (size - p)) - 1
+                cands = [(c, m & clip) for c, m, _ in starting if not m & covered]
+                stack.append((iter(cands), covered, p))
         # Backtrack to the deepest level with an untried candidate and take it.
         while stack:
             if len(chosen) == len(stack):
-                _, mask, p = chosen.pop()
-                covered ^= mask << p
-            b = next(stack[-1], None)
+                chosen.pop()
+            cands, covered, p = stack[-1]
+            b = next(cands, None)
             if b is not None:
-                chosen.append(b)
-                covered |= b[1] << b[2]
+                chosen.append(b[0])
+                covered |= b[1]
                 break
             stack.pop()
         else:

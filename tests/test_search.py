@@ -204,6 +204,20 @@ class TestSharedMasks:
             want = oracles.eager_exact_covers(space, e, {}, max_solutions=0)
             assert search._exact_covers(space, e, {}, max_solutions=0) == want
 
+    def test_a_sweep_builds_each_entry_once(self, monkeypatch):
+        # An entry is the same at every ell, so a shared table builds it the
+        # first time any cell reaches its id, even where p_0 < e there.
+        built = []
+
+        def counting(pt, p, e, spreads):
+            built.append((len(pt) - 1, e, p))
+            return starting(pt, p, e, spreads)
+
+        starting = search._starting
+        monkeypatch.setattr(search, "_starting", counting)
+        verify_theorem_sweep(3, 12, 3)
+        assert built and len(built) == len(set(built))
+
     def test_a_sweep_walks_each_ball_to_its_end_once(self, monkeypatch):
         # A ball whose walk stopped at a covered id is walked again from its
         # first run when a later node needs more of it, so a sweep may start
@@ -277,6 +291,7 @@ class TestDeepSearch:
         assert space.size() == DEFAULT_POINT_BUDGET
         report = enumerate_perfect_codes(SearchProblem(space, 1))
         assert len(report.solutions) == 2 == count_binary_perfect(49_999, 1)
+        assert report.nodes_explored == 33_335
 
 
 class TestOptionsAndBudgets:
