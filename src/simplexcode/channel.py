@@ -278,23 +278,26 @@ def _sample_run(
 
     Every trial draws the same bounds: its codeword index (uniform
     selection), then each event's total weight, which depends only on the
-    length. So one array call per chunk of trials draws exactly the values
-    that one scalar call per bound would, and leaves the stream where they
-    would leave it. A trial holds an id into its chunk's distinct states
-    and takes each event's _step while its table holds no more entries than
-    the chunk holds trials; then (one trial, many codewords, ell-scale
-    totals) each trial moves its own row of counts. Chunk tallies merge
-    whenever their rows double: merges sort at most about twice the rows made.
+    length. So one call per chunk, the row of bounds broadcast against
+    (trials, bounds), draws exactly the values that one scalar call per
+    bound would, and leaves the stream where they would leave it. A trial
+    holds an id into its chunk's distinct states and takes each event's
+    _step while its table holds no more entries than the chunk holds
+    trials; then (one trial, many codewords, ell-scale totals) each trial
+    moves its own row of counts. When every event took the table, the
+    chunk's trials are counted by one integer key, (id, sent), before any
+    count row is built. Chunk tallies merge whenever their rows double:
+    merges sort at most about twice the rows made.
     """
     schedule = list(_schedule(length, cfg, len(words[0]) - 1))
     bounds = [len(words)] if selection == "uniform" else []
     bounds += [total for _, total in schedule]
     chunk = max(1, min(trials, _SAMPLE_CELLS // max(len(words[0]), len(bounds))))
-    tiled = np.broadcast_to(np.array(bounds, dtype=np.int64), (chunk, len(bounds)))
+    bounds = np.array(bounds, dtype=np.int64)
     sent_rows = _matrix(words, length + cfg.insertions)
     held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
     for start in range(0, trials, chunk):
-        draws = rng.integers(tiled[: trials - start])
+        draws = rng.integers(bounds, size=(min(chunk, trials - start), len(bounds)))
         if selection == "uniform":
             sent, draws = draws[:, 0], draws[:, 1:]
         else:
@@ -304,16 +307,21 @@ def _sample_run(
         while k < len(schedule) and len(states) * schedule[k][1] <= len(ids):
             states, ids = _step(states, ids, draws[:, k], *schedule[k])
             k += 1
-        # Narrowed, as sort keys: numpy sorts 8- and 16-bit keys by radix.
-        sent, weights = _matrix(sent, len(words)), np.ones(len(sent), dtype=np.int64)
         if k < len(schedule):
-            counts = states[ids]
+            counts, weights = states[ids], np.ones(len(sent), dtype=np.int64)
             for (kind, total), r in zip(schedule[k:], draws.T[k:]):
                 _event(counts, kind, r, total)
-        else:  # tallied by (sent, state) before any count row is built
-            sent, ids, weights, _ = _tally(sent, _matrix(ids, len(states))[:, None], weights)
-            counts = states[ids[:, 0]]
-        held.append(_tally(sent, counts, weights)[:3])
+        else:  # counted by (state, sent) before any count row is built
+            # Keys stay below len(states) * len(words): ids stay below the
+            # chunk's trials (at most 2**18) or, without events, the
+            # codewords, and _check_decode keeps trials x codewords at most
+            # 10**9, so no key wraps. The key stays int64: np.unique sorts
+            # it faster than an 8-bit one.
+            keys, weights = np.unique(ids * len(words) + sent, return_counts=True)
+            ids, sent = np.divmod(keys, len(words))
+            counts = states[ids]
+        # Narrowed, as a sort key: numpy sorts 8- and 16-bit keys by radix.
+        held.append(_tally(_matrix(sent, len(words)), counts, weights)[:3])
         rows += len(held[-1][0])
         if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
             sent, counts, weights = map(np.concatenate, zip(*held))

@@ -66,7 +66,14 @@ event with an np.lexsort on (state, draw) and applying _event once per
 distinct pair (its _move), before each event became one lookup per trial
 in a table over the chunk's merged count vectors; kept unchanged apart
 from taking the first three of _tally's arrays, it pins the tables'
-histograms and stream. counter_exhaustive_run is
+histograms and stream. lexsort_sample_run is channel._sample_run as it
+drew each chunk from a read-only np.broadcast_to view of the bounds and,
+when every event took the table, tallied the chunk by (sent, state) with
+channel._tally's np.lexsort, before it drew from one bounds row broadcast
+against the chunk's shape and counted the trials by one integer key with
+np.unique; kept unchanged apart from its name, cfg's annotation and
+reading channel._SAMPLE_CELLS, it pins the arrays, dtypes included, and
+the stream. counter_exhaustive_run is
 channel._exhaustive_run as it merged the DP's states in a Counter keyed
 by (sent index, tuple of counts), before channel._tally merged them as
 arrays; kept unchanged, it is the third exhaustive oracle.
@@ -104,7 +111,7 @@ from simplexcode import (
     decode_received,
     enumerate_space,
 )
-from simplexcode.channel import _event, _rng, _schedule, _tally
+from simplexcode.channel import _event, _rng, _schedule, _step, _tally
 from simplexcode.codes import _CHUNK_CELLS, _matrix
 from simplexcode.search import _centers
 from simplexcode.simplex import ball_runs, distance, format_point, make_point, point_at
@@ -1025,6 +1032,60 @@ def sorted_move_sample_run(
                 _event(states, kind, r, total)
         sent, ids, weights = _tally(sent, ids[:, None], np.ones(len(sent), dtype=np.int64))[:3]
         held.append(_tally(sent, states[ids[:, 0]], weights)[:3])
+        rows += len(held[-1][0])
+        if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
+            sent, counts, weights = map(np.concatenate, zip(*held))
+            held.clear()  # only the merged tally outlives the merge
+            held.append(_tally(sent, counts, weights)[:3])
+            rows = merged = len(held[0][0])
+    return held[0]
+
+
+def lexsort_sample_run(
+    words, length: int, cfg, trials: int, selection: str, rng
+) -> tuple:
+    """The _tally of `trials` trials drawn in order from `rng`: sent
+    codeword indices, received count vectors and their numbers of trials.
+    `words` holds the codewords as rows, each of `length` symbols.
+
+    Every trial draws the same bounds: its codeword index (uniform
+    selection), then each event's total weight, which depends only on the
+    length. So one array call per chunk of trials draws exactly the values
+    that one scalar call per bound would, and leaves the stream where they
+    would leave it. A trial holds an id into its chunk's distinct states
+    and takes each event's _step while its table holds no more entries than
+    the chunk holds trials; then (one trial, many codewords, ell-scale
+    totals) each trial moves its own row of counts. Chunk tallies merge
+    whenever their rows double: merges sort at most about twice the rows made.
+    """
+    schedule = list(_schedule(length, cfg, len(words[0]) - 1))
+    bounds = [len(words)] if selection == "uniform" else []
+    bounds += [total for _, total in schedule]
+    chunk = max(1, min(trials, channel._SAMPLE_CELLS // max(len(words[0]), len(bounds))))
+    tiled = np.broadcast_to(np.array(bounds, dtype=np.int64), (chunk, len(bounds)))
+    sent_rows = _matrix(words, length + cfg.insertions)
+    held, rows, merged = [], 0, 0  # chunk tallies, their rows, rows at the last merge
+    for start in range(0, trials, chunk):
+        draws = rng.integers(tiled[: trials - start])
+        if selection == "uniform":
+            sent, draws = draws[:, 0], draws[:, 1:]
+        else:
+            sent = np.arange(start, start + len(draws)) % len(words)
+        states, ids, k = sent_rows, sent, 0
+        # Keys id * total + draw stay below the table's size <= trials: no wrap.
+        while k < len(schedule) and len(states) * schedule[k][1] <= len(ids):
+            states, ids = _step(states, ids, draws[:, k], *schedule[k])
+            k += 1
+        # Narrowed, as sort keys: numpy sorts 8- and 16-bit keys by radix.
+        sent, weights = _matrix(sent, len(words)), np.ones(len(sent), dtype=np.int64)
+        if k < len(schedule):
+            counts = states[ids]
+            for (kind, total), r in zip(schedule[k:], draws.T[k:]):
+                _event(counts, kind, r, total)
+        else:  # tallied by (sent, state) before any count row is built
+            sent, ids, weights, _ = _tally(sent, _matrix(ids, len(states))[:, None], weights)
+            counts = states[ids[:, 0]]
+        held.append(_tally(sent, counts, weights)[:3])
         rows += len(held[-1][0])
         if len(held) > 1 and (rows >= 2 * merged or start + chunk >= trials):
             sent, counts, weights = map(np.concatenate, zip(*held))

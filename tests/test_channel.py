@@ -17,6 +17,7 @@ from oracles import (
     binomial_bounds,
     count_noise_patterns,
     counter_exhaustive_run,
+    lexsort_sample_run,
     positional_exhaustive,
     python_decode_received,
     row_sample_run,
@@ -797,14 +798,23 @@ class TestAgainstScalarSampler:
     def test_array_bounds_draw_like_scalar_calls(self, seed):
         # One array call draws what one scalar call per bound draws, in
         # order, and leaves the stream where those calls leave it, whether
-        # the bounds are tiled into a matrix or broadcast as a read-only view.
+        # the bounds are tiled into a matrix, broadcast as a read-only view,
+        # or one row broadcast against the call's size, as _sample_run
+        # draws its chunks: two of 40 rows and a short last one of 7.
         bounds = [1, 2, 3, 7, 1, 14, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**62, 2**63 - 1, 5]
+        row = np.array(bounds, dtype=np.int64)
         tiled = np.array(bounds * 40, dtype=np.int64).reshape(40, len(bounds))
-        view = np.broadcast_to(np.array(bounds, dtype=np.int64), (50, len(bounds)))
-        for matrix in (tiled, view[:40]):
+        view = np.broadcast_to(row, (50, len(bounds)))
+        calls = [[lambda rng: rng.integers(tiled)], [lambda rng: rng.integers(view[:40])],
+                 [lambda rng, rows=rows: rng.integers(row, size=(rows, len(bounds)))
+                  for rows in (40, 40, 7)]]
+        for draws in calls:
             array_rng, scalar_rng = channel._rng(seed), channel._rng(seed)
-            got = array_rng.integers(matrix).tolist()
-            assert got == [[int(scalar_rng.integers(b)) for b in bounds] for _ in range(40)]
+            for draw in draws:
+                got = draw(array_rng)
+                assert got.dtype == np.int64
+                want = [[int(scalar_rng.integers(b)) for b in bounds] for _ in range(len(got))]
+                assert got.tolist() == want
             after = array_rng.integers(2**40, size=8).tolist()
             assert after == scalar_rng.integers(2**40, size=8).tolist()
 
@@ -1044,6 +1054,93 @@ class TestAgainstSortedMoves:
         for states, length, vectors in zip(seen, (7, 7, 6, 7), (36, 36, 28, 36)):
             assert len(set(map(tuple, states))) == len(states) <= vectors
             assert all(sum(state) == length for state in states)
+
+
+def _assert_same_arrays(got, want) -> None:
+    """Equal (sent, counts, weights) arrays: values, shapes and dtypes."""
+    assert len(got) == len(want) == 3
+    for mine, theirs in zip(got, want):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tolist() == theirs.tolist()
+
+
+class TestAgainstLexsortSampler:
+    """Sampled runs, which draw each chunk from one bounds row and count the
+    trials of an all-table chunk by one integer key, against the replaced
+    sampler that drew from a broadcast view and tallied such a chunk with a
+    lexsort on (sent, state): the same arrays and the stream left in the
+    same place."""
+
+    @staticmethod
+    def _compare(code, noise, trials, selection, seed):
+        subs, ins, dels = noise
+        cfg = ChannelConfig(substitutions=subs, insertions=ins, deletions=dels, seed=seed)
+        rng, oracle_rng = channel._rng(seed), channel._rng(seed)
+        got = channel._sample_run(code.matrix, code.space.ell, cfg, trials, selection, rng)
+        want = lexsort_sample_run(code.matrix, code.space.ell, cfg, trials, selection, oracle_rng)
+        _assert_same_arrays(got, want)
+        after = rng.integers(2**40, size=4).tolist()
+        assert after == oracle_rng.integers(2**40, size=4).tolist()
+        return got
+
+    @pytest.mark.parametrize("selection", ["uniform", "round-robin"])
+    @pytest.mark.parametrize("noise", [(2, 0, 0), (3, 0, 0), (2, 1, 1), (0, 0, 0)])
+    def test_ternary_e2_runs(self, noise, selection):
+        self._compare(construct_ternary_perfect(2, 2), noise, 20000, selection, 2029)
+
+    @pytest.mark.parametrize(
+        "code,noise,trials,selection",
+        [
+            (construct_binary_perfect(64, 3), (3, 0, 0), 20000, "round-robin"),
+            # Chunks of 52,428, 52,428 and 15,144 trials, merged twice.
+            (construct_ternary_perfect(2, 2), (2, 1, 1), 120000, "uniform"),
+            (construct_binary_perfect(64, 3), (0, 0, 0), 3000, "uniform"),
+            (_two_words(2**40), (1, 0, 1), 500, "uniform"),
+            (_two_words(2**40), (0, 0, 0), 500, "round-robin"),
+            (_two_words(2**62), (1, 0, 0), 500, "round-robin"),
+            (_two_words(2**62), (0, 0, 0), 500, "uniform"),
+            (Code(SimplexSpace(0, 2**63 + 5), ((2**63 + 5,),)), (0, 0, 0), 50, "uniform"),
+            (_unit_code(250), (1, 0, 0), 3000, "uniform"),
+            (_unit_code(250), (0, 1, 1), 3000, "round-robin"),
+            (_unit_code(250), (0, 0, 0), 3000, "uniform"),
+        ],
+        ids=["b64-s3-rr", "t2-s2i1d1-120000", "b64-0", "2^40-s1d1", "2^40-0-rr",
+             "2^62-s1-rr", "2^62-0", "n0-2^63+5", "unit250-s1", "unit250-i1d1-rr",
+             "unit250-0"],
+    )
+    def test_same_arrays_as_the_lexsort_sampler(self, code, noise, trials, selection):
+        got = self._compare(code, noise, trials, selection, trials + 7)
+        assert got[2].sum() == trials
+
+    def test_transmit_matches_the_lexsort_sampler(self):
+        word = construct_ternary_perfect(2, 2).codewords[1]
+        words = np.array([word], dtype=np.int64)
+        for seed in range(40):
+            cfg = ChannelConfig(substitutions=seed % 3, insertions=seed % 2,
+                                deletions=seed % 4 // 2, seed=seed)
+            want = lexsort_sample_run(words, sum(word), cfg, 1, "round-robin", channel._rng(seed))
+            assert transmit(word, cfg) == tuple(want[1][0].tolist())
+
+    def test_random_runs_across_chunk_sizes(self, monkeypatch):
+        codes = [construct_ternary_perfect(2, 2), construct_binary_perfect(64, 3),
+                 _unit_code(250), _two_words(2**40), _two_words(2**62)]
+        default, rnd = channel._SAMPLE_CELLS, random.Random(29)
+        compared = 0
+        for _ in range(60):
+            code = rnd.choice(codes)
+            noise = (rnd.randrange(4), rnd.randrange(3), rnd.randrange(3))
+            trials = rnd.choice([1, rnd.randrange(2, 300), rnd.randrange(300, 3000)])
+            monkeypatch.setattr(channel, "_SAMPLE_CELLS", rnd.choice([1, 7, 40, 2**14, default]))
+            cfg = ChannelConfig(substitutions=noise[0], insertions=noise[1],
+                                deletions=noise[2])
+            try:
+                channel._check_run(code.space.ell, cfg, code.space.n, trials, len(code))
+            except (ValueError, BudgetExceededError):  # too many deletions, or 2**63 weights
+                continue
+            self._compare(code, noise, trials, rnd.choice(["uniform", "round-robin"]),
+                          rnd.getrandbits(64))
+            compared += 1
+        assert compared > 40
 
 
 def _random_codes(rnd: random.Random, count: int) -> list[Code]:
