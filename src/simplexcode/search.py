@@ -11,9 +11,12 @@ It always branches on the first uncovered point p in enumeration order,
 which starts at the (ell, 0, ..., 0) corner where clipped balls leave the
 fewest choices, and tries the balls whose lowest point it is, in center
 order. Its state is a window: the covered ids from p on, shifted down by
-p. Centers follow from the point's coordinates, so a ball is built only
-when the search first reaches its lowest point. Solutions are reported in
-the canonical order induced by the point enumeration.
+p. A search level is one item in each of five flat lists (its balls, the
+next one to try, its window, p and clip), not a container of its own, and
+backtracking restores them in place. Centers follow from the point's
+coordinates, so a ball is built only when the search first reaches its
+lowest point. Solutions are reported in the canonical order induced by the
+point enumeration.
 
 A point's id depends only on its coordinates 1..n, not on ell (the
 ell-shift in the simplex module), so the radius-e balls whose lowest point
@@ -22,10 +25,13 @@ x_0 = 0. A table keyed by p holds them: the tail mass of p and, for each
 ball starting at p, its center's coordinates 1..n, the bitmask of its
 unclipped ids walked so far shifted down by p and the first id not yet
 walked (-1 at the end). A search adds p's entry, the same for every ell, as
-it first reaches p, and walks a ball only until it meets a covered id. Each
-enumerate_perfect_codes call starts an empty table; a verify_theorem_sweep
-call keeps one table per (n, e), so the balls walked for one ell serve every
-other ell of the same n and e, and drops them when it moves on to the next n.
+it first reaches p, and walks a ball only until it meets a covered id. On
+n = 1 every ball is one run, so an entry is written in closed form, walked
+to its end, as nested tuples of ints, which the garbage collector stops
+tracking once it has seen them. Each enumerate_perfect_codes call starts
+an empty table; a verify_theorem_sweep call keeps one table per (n, e), so
+the balls walked for one ell serve every other ell of the same n and e, and
+drops them when it moves on to the next n.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -128,34 +134,29 @@ def _centers(p: Point, e: int, spreads: dict) -> list[Point]:
     return [head[:z] + (head[z] + s[0],) + s[1:] for s in spreads[key]]
 
 
-def _starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list]:
-    """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
+def _starting(space: SimplexSpace, p: int, e: int, spreads: dict) -> tuple[int, list | tuple]:
+    """The ball-table entry of id p of space: the tail mass of p's point pt, and
     the radius-e balls whose lowest point is the representative (e, pt_1, ..., pt_n).
 
     Each ball is (center's coordinates 1..n, bitmask of its ids walked so far
     shifted down by p, first id not yet walked or -1 once walked to its end),
-    unwalked here, its ids those of the representative (e, c_1, ..., c_n). So
-    the entry does not depend on pt_0 = ell - tail mass, and one entry serves
-    every ell > e: the search gives p no candidates when pt_0 < e.
+    its ids those of the representative (e, c_1, ..., c_n). So the entry does
+    not depend on pt_0 = ell - tail mass, and one entry serves every ell > e:
+    the search gives p no candidates when pt_0 < e. The balls are a list,
+    unwalked, except on n = 1: there pt = (ell - p, p), the centers' tails are
+    (t,) for t = 0..e at the corner and (p + e,) elsewhere, and each ball is
+    its one run, so the balls are a tuple, walked to their ends, and the
+    search never walks them.
     """
+    if space.n == 1:
+        tails = range(e + 1) if p == 0 else (p + e,)
+        return p, tuple(
+            ((t,), ((1 << len(r)) - 1) << (r.start - p), -1)
+            for t in tails
+            for r in ball_runs((e, t), e)
+        )
+    pt = point_at(space, p)
     return sum(pt[1:]), [(c[1:], 0, p) for c in _centers((e,) + pt[1:], e, spreads)]
-
-
-def _walk(balls: list, p: int, e: int, window: int) -> None:
-    """Walk on each unfinished ball of an entry that misses window (the covered
-    ids from p on, shifted down by p) until it meets window or ends, skipping
-    the runs walked before."""
-    for k, (c, mask, front) in enumerate(balls):
-        if front < 0 or mask & window:
-            continue
-        for r in ball_runs((e,) + c, e):
-            if r.start >= front:
-                mask |= ((1 << len(r)) - 1) << (r.start - p)
-                if mask & window:
-                    balls[k] = (c, mask, r.stop)
-                    break
-        else:
-            balls[k] = (c, mask, -1)
 
 
 def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: int):
@@ -168,15 +169,19 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
     disjoint from the covered set has its lowest point at p, so the
     candidates for the first uncovered point p are the balls starting
     there: balls[p] (_starting), built the first time a search given this
-    table reaches p, each ball walked as far as a node needs (_walk). balls
-    is read and filled here, and lives as long as the caller keeps it: one
-    search, or the cells of one sweep with this n and e. Only this reads
-    ell: p_0 and each center's c_0 are ell minus a tail mass, p has no
-    candidates when p_0 < e, and a ball with c_0 < e crosses the face
-    x_0 = 0, so its mask is cut to the space. covered is the window (see
-    the module docstring), so no node works on the ids below p; each stack
-    level keeps its candidates, window and p for backtracking to restore.
-    Depth-first, without recursion.
+    table reaches p. balls is read and filled here, and lives as long as the
+    caller keeps it: one search, or the cells of one sweep with this n and
+    e. Only this reads ell: p_0 and each center's c_0 are ell minus a tail
+    mass, p has no candidates when p_0 < e, and a ball with c_0 < e crosses
+    the face x_0 = 0, so its mask is cut to the space (the level's clip,
+    applied when a ball is taken). covered is the window (see the module
+    docstring), so no node works on the ids below p. The stack is five flat
+    lists, one item per level in each: the balls starting at its p, the
+    index of the next one to try, its window, its p and its clip. A level
+    holds no container of its own. Its balls are tried in order: one whose
+    mask meets the window is skipped, and one not walked to its end is first
+    walked on until it meets the window or ends (binary entries are built
+    walked). Depth-first, without recursion.
 
     When ell <= e every ball is the whole space: the search meets the root
     and one single-ball cover per point, and reads no table.
@@ -185,7 +190,8 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
     if ell <= e:
         return [], size + 1
     spreads: dict = {}
-    covered, p, chosen, stack, sols, nodes = 0, 0, [], [], [], 0
+    covered, p, chosen, sols, nodes = 0, 0, [], [], 0
+    level_balls, level_next, level_window, level_p, level_clip = [], [], [], [], []
     while True:
         nodes += 1
         skip = (~covered & (covered + 1)).bit_length() - 1  # step past the covered prefix
@@ -198,25 +204,47 @@ def _exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: in
         else:
             entry = balls.get(p)
             if entry is None:
-                entry = balls[p] = _starting(point_at(space, p), p, e, spreads)
+                entry = balls[p] = _starting(space, p, e, spreads)
             mass, starting = entry
             if ell - mass >= e:  # else p has no candidates and the node is a leaf
-                _walk(starting, p, e, covered)
+                level_balls.append(starting)
+                level_next.append(0)
+                level_window.append(covered)
+                level_p.append(p)
                 # p_0 >= 2e: every center has c_0 >= p_0 - e >= e, so no clip
-                clip = -1 if ell - mass >= 2 * e else (1 << (size - p)) - 1
-                cands = [(c, m & clip) for c, m, _ in starting if not m & covered]
-                stack.append((iter(cands), covered, p))
+                level_clip.append(-1 if ell - mass >= 2 * e else (1 << (size - p)) - 1)
         # Backtrack to the deepest level with an untried candidate and take it.
-        while stack:
-            if len(chosen) == len(stack):
+        while level_balls:
+            if len(chosen) == len(level_balls):
                 chosen.pop()
-            cands, covered, p = stack[-1]
-            b = next(cands, None)
-            if b is not None:
-                chosen.append(b[0])
-                covered |= b[1]
-                break
-            stack.pop()
+            starting, k, window = level_balls[-1], level_next[-1], level_window[-1]
+            # An entry's balls are walked only here, while their level is on
+            # top, and every level above it has a larger p: so they do not
+            # change while the level waits on the stack, and the balls tried
+            # are those disjoint from its window, each walked to its end.
+            end = len(starting)
+            while k < end:
+                c, mask, front = starting[k]
+                if front >= 0 and not mask & window:  # walk on until it meets window
+                    q = level_p[-1]
+                    for r in ball_runs((e,) + c, e):
+                        if r.start >= front:
+                            mask |= ((1 << len(r)) - 1) << (r.start - q)
+                            if mask & window:
+                                starting[k] = (c, mask, r.stop)
+                                break
+                    else:
+                        starting[k] = (c, mask, -1)
+                k += 1
+                if not mask & window:
+                    break
+            else:
+                del level_balls[-1], level_next[-1], level_window[-1], level_p[-1], level_clip[-1]
+                continue
+            level_next[-1] = k
+            chosen.append(c)
+            covered, p = window | (mask & level_clip[-1]), level_p[-1]
+            break
         else:
             break
     return sols, nodes
@@ -236,7 +264,7 @@ def enumerate_perfect_codes(problem: SearchProblem) -> SearchReport:
 def _enumerate(problem: SearchProblem, balls: dict | None) -> SearchReport:
     """enumerate_perfect_codes, reading and filling the ball table balls, or
     a table of its own when balls is None, dropped as soon as the solver
-    returns: on (1, 49999, 1) its 33,333 entries take about 13 MB."""
+    returns: on (1, 49999, 1) its 33,333 entries take about 11 MB."""
     space, e = problem.space, problem.e
     size = space.size()
     if size > problem.point_budget:
@@ -261,7 +289,8 @@ def _enumerate(problem: SearchProblem, balls: dict | None) -> SearchReport:
         if not is_perfect(code, e):
             raise AssertionError(f"search produced a non-perfect code: {code!r}")
         codes.append(code)
-    codes.sort(key=lambda c: c.codewords, reverse=True)
+    if not problem.count_only:  # the orbit count is a set: only a kept list needs the order
+        codes.sort(key=lambda c: c.codewords, reverse=True)
 
     orbit_count = None
     if problem.symmetry_reduction:

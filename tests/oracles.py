@@ -30,6 +30,13 @@ walked every ball starting at an id to its end when the search first
 reached that id, before the search learned to walk a ball only until it
 meets a covered id; kept unchanged apart from their names, they pin the
 lazy walk's choices and node counts on fresh and shared ball tables.
+list_stack_starting, list_stack_walk and list_stack_exact_covers are
+search._starting, search._walk and search._exact_covers as they held each
+stack level as a tuple of an iterator over a filtered candidate list, its
+window and its p, and built every entry, n = 1 too, unwalked from the
+point, before binary entries were written walked in closed form and the
+stack became flat lists; kept unchanged apart from their names, they pin
+the flat stack's choices and node counts on fresh and shared ball tables.
 _noisy_variants is the
 position-level noise enumerator that the channel's exhaustive mode ran
 before the count-domain model replaced it, kept unchanged as the channel
@@ -665,6 +672,100 @@ def eager_exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solution
             if b is not None:
                 chosen.append(b)
                 covered |= b[1] << b[2]
+                break
+            stack.pop()
+        else:
+            break
+    return sols, nodes
+
+
+def list_stack_starting(pt: Point, p: int, e: int, spreads: dict) -> tuple[int, list]:
+    """The ball-table entry of the point pt, whose id is p: pt's tail mass, and
+    the radius-e balls whose lowest point is the representative (e, pt_1, ..., pt_n).
+
+    Each ball is (center's coordinates 1..n, bitmask of its ids walked so far
+    shifted down by p, first id not yet walked or -1 once walked to its end),
+    unwalked here, its ids those of the representative (e, c_1, ..., c_n). So
+    the entry does not depend on pt_0 = ell - tail mass, and one entry serves
+    every ell > e: the search gives p no candidates when pt_0 < e.
+    """
+    return sum(pt[1:]), [(c[1:], 0, p) for c in _centers((e,) + pt[1:], e, spreads)]
+
+
+def list_stack_walk(balls: list, p: int, e: int, window: int) -> None:
+    """Walk on each unfinished ball of an entry that misses window (the covered
+    ids from p on, shifted down by p) until it meets window or ends, skipping
+    the runs walked before."""
+    for k, (c, mask, front) in enumerate(balls):
+        if front < 0 or mask & window:
+            continue
+        for r in ball_runs((e,) + c, e):
+            if r.start >= front:
+                mask |= ((1 << len(r)) - 1) << (r.start - p)
+                if mask & window:
+                    balls[k] = (c, mask, r.stop)
+                    break
+        else:
+            balls[k] = (c, mask, -1)
+
+
+def list_stack_exact_covers(space: SimplexSpace, e: int, balls: dict, *, max_solutions: int):
+    """Partitions of the space into two or more radius-e balls, and the node count.
+
+    Each partition is a tuple of centers in the order they were chosen.
+    The search stops after max_solutions partitions (0 = find them all).
+
+    Once every point below p is covered, a ball that covers p and is
+    disjoint from the covered set has its lowest point at p, so the
+    candidates for the first uncovered point p are the balls starting
+    there: balls[p] (_starting), built the first time a search given this
+    table reaches p, each ball walked as far as a node needs (_walk). balls
+    is read and filled here, and lives as long as the caller keeps it: one
+    search, or the cells of one sweep with this n and e. Only this reads
+    ell: p_0 and each center's c_0 are ell minus a tail mass, p has no
+    candidates when p_0 < e, and a ball with c_0 < e crosses the face
+    x_0 = 0, so its mask is cut to the space. covered is the window (see
+    the module docstring), so no node works on the ids below p; each stack
+    level keeps its candidates, window and p for backtracking to restore.
+    Depth-first, without recursion.
+
+    When ell <= e every ball is the whole space: the search meets the root
+    and one single-ball cover per point, and reads no table.
+    """
+    size, ell = space.size(), space.ell
+    if ell <= e:
+        return [], size + 1
+    spreads: dict = {}
+    covered, p, chosen, stack, sols, nodes = 0, 0, [], [], [], 0
+    while True:
+        nodes += 1
+        skip = (~covered & (covered + 1)).bit_length() - 1  # step past the covered prefix
+        p, covered = p + skip, covered >> skip
+        if p == size:
+            if len(chosen) >= 2:
+                sols.append(tuple((ell - sum(c),) + c for c in chosen))
+                if len(sols) == max_solutions:
+                    break
+        else:
+            entry = balls.get(p)
+            if entry is None:
+                entry = balls[p] = list_stack_starting(point_at(space, p), p, e, spreads)
+            mass, starting = entry
+            if ell - mass >= e:  # else p has no candidates and the node is a leaf
+                list_stack_walk(starting, p, e, covered)
+                # p_0 >= 2e: every center has c_0 >= p_0 - e >= e, so no clip
+                clip = -1 if ell - mass >= 2 * e else (1 << (size - p)) - 1
+                cands = [(c, m & clip) for c, m, _ in starting if not m & covered]
+                stack.append((iter(cands), covered, p))
+        # Backtrack to the deepest level with an untried candidate and take it.
+        while stack:
+            if len(chosen) == len(stack):
+                chosen.pop()
+            cands, covered, p = stack[-1]
+            b = next(cands, None)
+            if b is not None:
+                chosen.append(b[0])
+                covered |= b[1]
                 break
             stack.pop()
         else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,9 +211,9 @@ class TestSharedMasks:
         # first time any cell reaches its id, even where p_0 < e there.
         built = []
 
-        def counting(pt, p, e, spreads):
-            built.append((len(pt) - 1, e, p))
-            return starting(pt, p, e, spreads)
+        def counting(space, p, e, spreads):
+            built.append((space.n, e, p))
+            return starting(space, p, e, spreads)
 
         starting = search._starting
         monkeypatch.setattr(search, "_starting", counting)
@@ -231,6 +233,72 @@ class TestSharedMasks:
         monkeypatch.setattr(search, "ball_runs", recording)
         verify_theorem_sweep(3, 9, 2)
         assert ended and len(ended) == len(set(ended))
+
+
+class TestAgainstListStack:
+    """The solver's stack is flat lists, a ball is walked when it is tried, and
+    binary entries are built walked; oracles.list_stack_exact_covers is the
+    solver with a tuple of an iterator over a filtered candidate list per
+    level, which walked an entry's balls at its node, on n = 1 too."""
+
+    CELLS = [(n, ell, e) for n in range(6) if n != 1 for ell in range(13) for e in range(5)] + [
+        (1, ell, e) for ell in range(301) for e in range(7)
+    ]
+
+    @pytest.mark.parametrize("max_solutions", [0, 1, 2])
+    def test_same_solutions_and_nodes(self, max_solutions):
+        kw = {"max_solutions": max_solutions}
+        for n, ell, e in self.CELLS:
+            space = SimplexSpace(n, ell)
+            want = oracles.list_stack_exact_covers(space, e, {}, **kw)
+            assert search._exact_covers(space, e, {}, **kw) == want, (n, ell, e)
+        for descending in (False, True):
+            tables: dict = {}
+            list_tables: dict = {}
+            for n, ell, e in sorted(self.CELLS, key=lambda c: c[1], reverse=descending):
+                space = SimplexSpace(n, ell)
+                got = search._exact_covers(space, e, tables.setdefault((n, e), {}), **kw)
+                want = oracles.list_stack_exact_covers(
+                    space, e, list_tables.setdefault((n, e), {}), **kw
+                )
+                assert got == want, (n, ell, e, descending)
+
+    @pytest.mark.parametrize(
+        "n,ell,e", [(2, 22, 7), (2, 31, 10), (3, 12, 3), (4, 8, 2), (1, 1000, 1), (5, 15, 4)]
+    )
+    def test_benchmark_cells(self, n, ell, e):
+        space = SimplexSpace(n, ell)
+        want = oracles.list_stack_exact_covers(space, e, {}, max_solutions=0)
+        assert search._exact_covers(space, e, {}, max_solutions=0) == want
+
+
+class TestBinaryEntries:
+    """On n = 1, _starting writes each entry in closed form, walked to its end."""
+
+    def test_closed_form_matches_the_general_path(self):
+        space = SimplexSpace(1, 399)
+        for e in range(1, 7):
+            spreads: dict = {}
+            for p in range(400):
+                mass, balls = search._starting(space, p, e, spreads)
+                assert type(balls) is tuple and mass == p
+                assert [c for c, _, _ in balls] == [c[1:] for c in _centers((e, p), e, spreads)]
+                _, walked = oracles.list_stack_starting((e, p), p, e, spreads)
+                oracles.list_stack_walk(walked, p, e, 0)
+                assert list(balls) == walked, (p, e)
+
+    def test_a_binary_table_adds_no_tracked_containers(self):
+        # Generation-2 collections traverse what the collector tracks; a
+        # list per entry made them cost more the deeper a binary search went.
+        gc.collect()
+        gc.collect()
+        before = len(gc.get_objects())
+        table: dict = {}
+        search._exact_covers(SimplexSpace(1, 9999), 1, table, max_solutions=0)
+        gc.collect()
+        gc.collect()
+        assert len(table) == 6667
+        assert len(gc.get_objects()) - before < len(table) // 10
 
 
 class TestBenchmarkCells:
