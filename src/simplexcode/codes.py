@@ -155,12 +155,16 @@ def _canonical_order(space: SimplexSpace, rows: list) -> np.ndarray | None:
     width, ell = space.n + 1, space.ell
     if _word_type(space) is object or not set(map(type, rows)) <= {list, tuple}:
         return None
-    if set(map(len, rows)) != {width} or set(map(type, chain.from_iterable(rows))) != {int}:
+    if set(map(len, rows)) != {width}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
         return None
     try:
-        a = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+        a = np.fromiter(flat, np.int64, len(flat))
     except OverflowError:
         return None
+    del flat  # the sort below copies the matrix: free the list first
     a = a.reshape(len(rows), width)
     if a.min() < 0 or a.max() > ell or (a.sum(axis=1) != ell).any():
         return None

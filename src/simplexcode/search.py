@@ -28,10 +28,12 @@ walked (-1 at the end). A search adds p's entry, the same for every ell, as
 it first reaches p, and walks a ball only until it meets a covered id. On
 n = 1 every ball is one run, so an entry is written in closed form, walked
 to its end, as nested tuples of ints, which the garbage collector stops
-tracking once it has seen them. Each enumerate_perfect_codes call starts
-an empty table; a verify_theorem_sweep call keeps one table per (n, e), so
-the balls walked for one ell serve every other ell of the same n and e, and
-drops them when it moves on to the next n.
+tracking once it has seen them: at p > 0 it holds one ball, whose one run
+is unpacked straight from the ball walk, and at p = 0 the e + 1 corner
+balls. Each enumerate_perfect_codes call starts an empty table; a
+verify_theorem_sweep call keeps one table per (n, e), so the balls walked
+for one ell serve every other ell of the same n and e, and drops them when
+it moves on to the next n.
 
 Counting convention: codes are counted as labeled point sets. Two codes
 that are coordinate permutations of each other count separately; the
@@ -146,13 +148,16 @@ def _starting(space: SimplexSpace, p: int, e: int, spreads: dict) -> tuple[int, 
     unwalked, except on n = 1: there pt = (ell - p, p), the centers' tails are
     (t,) for t = 0..e at the corner and (p + e,) elsewhere, and each ball is
     its one run, so the balls are a tuple, walked to their ends, and the
-    search never walks them.
+    search never walks them; p > 0 reads its one ball's run off ball_runs
+    without a loop.
     """
     if space.n == 1:
-        tails = range(e + 1) if p == 0 else (p + e,)
-        return p, tuple(
-            ((t,), ((1 << len(r)) - 1) << (r.start - p), -1)
-            for t in tails
+        if p:
+            (r,) = ball_runs((e, p + e), e)
+            return p, (((p + e,), ((1 << len(r)) - 1) << (r.start - p), -1),)
+        return 0, tuple(
+            ((t,), ((1 << len(r)) - 1) << r.start, -1)
+            for t in range(e + 1)
             for r in ball_runs((e, t), e)
         )
     pt = point_at(space, p)

@@ -129,7 +129,9 @@ def point_at(space: SimplexSpace, j: int) -> Point:
     The points before x that first differ from it at coordinate i < n leave
     less than x's mass R to the later coordinates: C(R-1+n-i, n-i) points.
     So coordinate i leaves them the largest mass m whose C(m-1+n-i, n-i)
-    earlier points do not pass j: a binary search, or m = j when i = n-1.
+    earlier points do not pass j: a binary search, or a closed form on the
+    last two levels, m = j when i = n-1 and m = (isqrt(8j+1) - 1) // 2, the
+    largest m with C(m+1, 2) = m(m+1)/2 <= j, when i = n-2.
     """
     if not 0 <= j < space.size():
         raise ValueError(f"id must be in [0, {space.size()}), got {j}")
@@ -137,6 +139,8 @@ def point_at(space: SimplexSpace, j: int) -> Point:
     for k in range(n, 0, -1):
         if k == 1:
             m = j
+        elif k == 2:
+            m = (math.isqrt(8 * j + 1) - 1) // 2
         else:
             m = bisect_right(range(rest + 1), j, key=lambda r: math.comb(r - 1 + k, k)) - 1
         j -= math.comb(m - 1 + k, k)
@@ -157,7 +161,9 @@ def ball_runs(x: Point, e: int) -> Iterator[range]:
     pos = neg = e (the rest of y is x's); while pos = e, y is 0 wherever x
     is, so it jumps past x's zeros. The last free coordinate leaves one run
     of ids per value of the one before it, so the last two are closed forms:
-    no branch goes below them.
+    no branch goes below them. On n = 2 the root is already one of them, so
+    the walk needs min(x) alone of the per-coordinate tables it builds for
+    larger n.
     """
     if e < 0:
         raise ValueError(f"radius must be >= 0, got {e}")
@@ -169,13 +175,16 @@ def ball_runs(x: Point, e: int) -> Iterator[range]:
     # x_suf[i]: the share of x's id from coordinates i.. (x_suf[0] is x's id);
     # low[i]: min of x[i:]; nonzero[i]: first j >= i with x[j] > 0, or n.
     comb = math.comb
-    x_suf, low, nonzero, mass = [0] * (n + 1), [x[n]] * (n + 1), [n] * (n + 1), x[n]
-    for i in range(n - 1, -1, -1):
-        c = x[i]
-        x_suf[i] = x_suf[i + 1] + comb(mass - 1 + n - i, n - i)
-        low[i] = c if c < low[i + 1] else low[i + 1]
-        nonzero[i] = i if c else nonzero[i + 1]
-        mass += c
+    if n == 2:
+        low, mass = [min(x)], sum(x)
+    else:
+        x_suf, low, nonzero, mass = [0] * (n + 1), [x[n]] * (n + 1), [n] * (n + 1), x[n]
+        for i in range(n - 1, -1, -1):
+            c = x[i]
+            x_suf[i] = x_suf[i + 1] + comb(mass - 1 + n - i, n - i)
+            low[i] = c if c < low[i + 1] else low[i + 1]
+            nonzero[i] = i if c else nonzero[i + 1]
+            mass += c
     start = stop = 0  # the run being merged
     stack = [(0, mass, 0, 0, 0)]  # (coordinate, mass left, pos, neg, id so far)
     while stack:

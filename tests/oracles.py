@@ -93,11 +93,16 @@ code matrix and sorted their rows with codes' lexsort; pair_min_distance is
 codes.min_distance as it took the distance of each pair of codewords in a
 Python loop, before it read the decoder's blocked L1 scores. Kept unchanged
 apart from their names, they pin canonical forms, dtypes and distances.
+bisect_point_at is simplex.point_at as it found the mass of every level
+k >= 2 by a binary search over C(m-1+k, k), before the k = 2 level took
+the closed form m = (isqrt(8j+1) - 1) // 2; kept unchanged apart from its
+name, it pins that level's ids.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, count, permutations, repeat
@@ -189,6 +194,28 @@ def ball(x: Point, e: int) -> set[Point]:
             break
         seen |= frontier
     return seen
+
+
+def bisect_point_at(space: SimplexSpace, j: int) -> Point:
+    """The point x at position j of enumeration order, counted from 0.
+
+    The points before x that first differ from it at coordinate i < n leave
+    less than x's mass R to the later coordinates: C(R-1+n-i, n-i) points.
+    So coordinate i leaves them the largest mass m whose C(m-1+n-i, n-i)
+    earlier points do not pass j: a binary search, or m = j when i = n-1.
+    """
+    if not 0 <= j < space.size():
+        raise ValueError(f"id must be in [0, {space.size()}), got {j}")
+    n, rest, out = space.n, space.ell, []
+    for k in range(n, 0, -1):
+        if k == 1:
+            m = j
+        else:
+            m = bisect_right(range(rest + 1), j, key=lambda r: math.comb(r - 1 + k, k)) - 1
+        j -= math.comb(m - 1 + k, k)
+        out.append(rest - m)
+        rest = m
+    return tuple(out) + (rest,)
 
 
 def ball_ids(x: Point, e: int) -> Iterator[int]:

@@ -302,8 +302,9 @@ def walk_id(x):
 
 class TestPointIds:
     def test_ids_follow_enumeration_order(self):
-        for n in range(0, 6):
-            for ell in range(0, 8):
+        # Longer on n = 2..5, whose k = 2 level of point_at is closed form.
+        for n, ell_max in [(0, 7), (1, 7), (2, 60), (3, 24), (4, 12), (5, 9)]:
+            for ell in range(0, ell_max + 1):
                 space = SimplexSpace(n, ell)
                 for j, x in enumerate(enumerate_space(space)):
                     assert list(ball_ids(x, 0)) == [j]
@@ -327,6 +328,25 @@ class TestPointIds:
                 assert point_at(space, walk_id(x)) == x
                 j = rng.randrange(space.size())
                 assert walk_id(point_at(space, j)) == j
+
+    def test_closed_form_level_matches_the_replaced_bisect(self):
+        # Ids just below and at each C(m+1, 2), where the k = 2 level's mass
+        # steps from m - 1 to m, up to ids near 2**62; on n = 3 the same ids
+        # past a level-3 step C(M+2, 3).
+        ms = set(range(1, 300)) | {
+            (1 << b) + d for b in range(9, 32) for d in (-1, 0, 1)
+        } | {3_037_000_499}  # C(m+1, 2) just below 2**62
+        steps = sorted(comb(m + 1, 2) for m in ms)
+        assert steps[-1] < 2**62 < comb(3_037_000_501, 2)
+        for n, ell, bases in [(2, 3_100_000_000, [0]), (3, 2_700_000, [0, comb(2_500_002, 3)])]:
+            space = SimplexSpace(n, ell)
+            for base in bases:
+                for t in steps:
+                    for j in (base + t - 1, base + t):
+                        if j < space.size():
+                            assert point_at(space, j) == oracles.bisect_point_at(space, j), (n, j)
+            for j in (space.size() - 2, space.size() - 1):
+                assert point_at(space, j) == oracles.bisect_point_at(space, j), (n, j)
 
     def test_point_at_rejects_ids_outside_the_space(self):
         space = SimplexSpace(2, 3)
@@ -419,14 +439,26 @@ def bf_ids(points, x, e):
 
 class TestBallRuns:
     def test_every_center_of_small_spaces(self):
+        # On n = 2 the walk starts in its closed-form rows: radii run to
+        # ell + 1, balls that fill the whole space, and a larger space adds
+        # its corners and face centers.
         for n in range(0, 5):
             for ell in range(0, 11):
                 points = np.array(list(enumerate_space(SimplexSpace(n, ell))))
                 for x in map(tuple, points.tolist()):
-                    for e in range(0, 5):
+                    for e in range(0, ell + 2 if n == 2 else 5):
                         want = bf_ids(points, x, e)
                         assert list(oracles.ball_ids(x, e)) == want, (x, e)
                         assert_runs(list(ball_runs(x, e)), want)
+        ell = 40
+        points = np.array(list(enumerate_space(SimplexSpace(2, ell))))
+        corners = [(40, 0, 0), (0, 40, 0), (0, 0, 40)]
+        faces = [(20, 20, 0), (0, 20, 20), (20, 0, 20), (39, 1, 0), (0, 1, 39), (1, 0, 39), (13, 0, 27)]
+        for x in corners + faces:
+            for e in (0, 1, 2, 13, 19, 20, 21, 27, 39, 40, 41):
+                want = bf_ids(points, x, e)
+                assert list(oracles.ball_ids(x, e)) == want, (x, e)
+                assert_runs(list(ball_runs(x, e)), want)
 
     def test_same_runs_as_the_replaced_walk(self):
         for n in range(0, 5):
