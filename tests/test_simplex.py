@@ -439,14 +439,14 @@ def bf_ids(points, x, e):
 
 class TestBallRuns:
     def test_every_center_of_small_spaces(self):
-        # On n = 2 the walk starts in its closed-form rows: radii run to
+        # On n = 2 the walk starts in its closed-form rows: radii also run to
         # ell + 1, balls that fill the whole space, and a larger space adds
         # its corners and face centers.
         for n in range(0, 5):
             for ell in range(0, 11):
                 points = np.array(list(enumerate_space(SimplexSpace(n, ell))))
                 for x in map(tuple, points.tolist()):
-                    for e in range(0, ell + 2 if n == 2 else 5):
+                    for e in range(0, max(5, ell + 2) if n == 2 else 5):
                         want = bf_ids(points, x, e)
                         assert list(oracles.ball_ids(x, e)) == want, (x, e)
                         assert_runs(list(ball_runs(x, e)), want)
