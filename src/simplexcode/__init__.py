@@ -6,6 +6,21 @@ search by exact cover (search), and end-to-end simulation over a noisy
 permutation channel (channel).
 """
 
+import os
+import sys
+
+# Nothing here calls BLAS: load numpy's OpenBLAS with one thread, not a pool of
+# spinning workers, unless the caller loaded numpy or chose a thread count.
+# OpenBLAS reads the variable only at load, so the environment is restored.
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .channel import (
     ChannelConfig,
     ExperimentStats,
